@@ -29,6 +29,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serd_repro::prelude::*;
+use serd_repro::serve::metrics::percentile;
 use serd_repro::serve::{client, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,14 +81,6 @@ fn path_of(class: usize, cold_seed: &AtomicU64) -> String {
         3 => "/healthz".to_string(),
         _ => "/models".to_string(),
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn main() {

@@ -9,7 +9,6 @@ use crate::simcache::{ProfileCache, RecordProfile};
 use crate::{ColumnType, Relation, Schema};
 use similarity::block_gram_hashes;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 
 /// Gram length the pipeline blocks at (and profile caches precompute
 /// blocking keys for).
@@ -31,107 +30,11 @@ pub fn shard_count() -> usize {
         .max(1)
 }
 
-/// A blocking strategy: how candidate pairs are generated without the full
-/// cross product. All strategies are recall-oriented (they may emit false
-/// candidates, never *suppress* true matches beyond their documented
-/// heuristics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingStrategy {
-    /// Character q-gram blocking (the default used by the pipeline).
-    Qgram {
-        /// Gram length.
-        q: usize,
-        /// Cap on entities per gram bucket.
-        max_bucket: usize,
-    },
-    /// Whitespace-token blocking: share at least one lowercase token.
-    Token {
-        /// Cap on entities per token bucket.
-        max_bucket: usize,
-    },
-    /// Sorted-neighborhood: entities of both relations are sorted by the
-    /// blocking key and paired within a sliding window.
-    SortedNeighborhood {
-        /// Window size (each A entity pairs with the `window` nearest B
-        /// entities in sort order).
-        window: usize,
-    },
-}
-
-impl BlockingStrategy {
-    /// Short name used for metric keys.
-    fn key(&self) -> &'static str {
-        match self {
-            BlockingStrategy::Qgram { .. } => "qgram",
-            BlockingStrategy::Token { .. } => "token",
-            BlockingStrategy::SortedNeighborhood { .. } => "sorted_neighborhood",
-        }
-    }
-
-    /// Generates candidate pairs under this strategy.
-    pub fn candidates(&self, a: &Relation, b: &Relation) -> Vec<(usize, usize)> {
-        let _span = obs::span("blocking");
-        let out = match *self {
-            BlockingStrategy::Qgram { q, max_bucket } => candidate_pairs(a, b, q, max_bucket),
-            BlockingStrategy::Token { max_bucket } => token_candidates(a, b, max_bucket),
-            BlockingStrategy::SortedNeighborhood { window } => {
-                sorted_neighborhood(a, b, window)
-            }
-        };
-        self.report(a, b, &out);
-        out
-    }
-
-    /// [`Self::candidates`] over a dataset's [`ProfileCache`] — identical
-    /// output, computed from the cached per-record profiles. A budgeted
-    /// cache (not fully resident) routes to the relation-based path, which
-    /// produces the same candidate set without needing profile slices.
-    pub fn candidates_cached(
-        &self,
-        a: &Relation,
-        b: &Relation,
-        cache: &ProfileCache,
-    ) -> Vec<(usize, usize)> {
-        if !cache.fully_resident() {
-            return self.candidates(a, b);
-        }
-        let _span = obs::span("blocking");
-        let out = match *self {
-            BlockingStrategy::Qgram { q, max_bucket } => {
-                candidate_pairs_cached(a, b, cache, q, max_bucket)
-            }
-            BlockingStrategy::Token { max_bucket } => {
-                token_candidates_cached(a, cache, max_bucket)
-            }
-            BlockingStrategy::SortedNeighborhood { window } => {
-                sorted_neighborhood_cached(a, cache, window)
-            }
-        };
-        self.report(a, b, &out);
-        out
-    }
-
-    fn report(&self, a: &Relation, b: &Relation, out: &[(usize, usize)]) {
-        if obs::enabled() {
-            let key = self.key();
-            obs::counter(&format!("candidates.{key}"), out.len() as u64);
-            let cross = a.len() as f64 * b.len() as f64;
-            if cross > 0.0 {
-                // Fraction of the cross product pruned away by blocking.
-                obs::gauge(
-                    &format!("reduction_ratio.{key}"),
-                    1.0 - out.len() as f64 / cross,
-                );
-            }
-        }
-    }
-}
-
 /// Joins two single-side blocking indexes into sorted, deduplicated pairs
 /// (sorted so candidate order doesn't leak hash-iteration order).
-fn join_indexes<K: Eq + Hash>(
-    ia: &HashMap<K, Vec<usize>>,
-    ib: &HashMap<K, Vec<usize>>,
+fn join_indexes(
+    ia: &HashMap<u64, Vec<usize>>,
+    ib: &HashMap<u64, Vec<usize>>,
 ) -> Vec<(usize, usize)> {
     let mut seen: HashSet<(usize, usize)> = HashSet::new();
     for (k, ids_a) in ia {
@@ -145,120 +48,6 @@ fn join_indexes<K: Eq + Hash>(
     }
     let mut out: Vec<(usize, usize)> = seen.into_iter().collect();
     out.sort_unstable();
-    out
-}
-
-/// Token blocking: pair entities sharing at least one lowercase token on the
-/// blocking column.
-pub fn token_candidates(a: &Relation, b: &Relation, max_bucket: usize) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    let index = |r: &Relation| {
-        let mut idx: HashMap<String, Vec<usize>> = HashMap::new();
-        for (id, e) in r.iter() {
-            let Some(s) = e.value(col).as_str() else { continue };
-            let mut tokens: Vec<String> = s
-                .to_lowercase()
-                .split(|c: char| !c.is_alphanumeric())
-                .filter(|t| !t.is_empty())
-                .map(str::to_string)
-                .collect();
-            tokens.sort();
-            tokens.dedup();
-            for t in tokens {
-                let bucket = idx.entry(t).or_default();
-                if bucket.len() < max_bucket {
-                    bucket.push(id);
-                }
-            }
-        }
-        idx
-    };
-    join_indexes(&index(a), &index(b))
-}
-
-/// [`token_candidates`] over cached profiles: the per-record sorted-unique
-/// token sets are already interned, so the index keys on token ids (exact —
-/// interned ids are bijective with token strings).
-pub fn token_candidates_cached(
-    a: &Relation,
-    cache: &ProfileCache,
-    max_bucket: usize,
-) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    let index = |profs: &[RecordProfile]| {
-        let mut idx: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (id, rp) in profs.iter().enumerate() {
-            let Some(p) = rp.col(col) else { continue };
-            for &t in p.token_set() {
-                let bucket = idx.entry(t).or_default();
-                if bucket.len() < max_bucket {
-                    bucket.push(id);
-                }
-            }
-        }
-        idx
-    };
-    join_indexes(&index(cache.a()), &index(cache.b()))
-}
-
-/// Sorted-neighborhood blocking: merge-sort both relations on the lowercase
-/// blocking value; each A entity is paired with the `window` B entities
-/// nearest to it in the merged order.
-pub fn sorted_neighborhood(a: &Relation, b: &Relation, window: usize) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    let keys = |r: &Relation| {
-        let mut ks: Vec<(String, usize)> = r
-            .iter()
-            .map(|(id, e)| (e.value(col).as_str().unwrap_or("").to_lowercase(), id))
-            .collect();
-        ks.sort();
-        ks
-    };
-    window_pairs(&keys(a), &keys(b), window)
-}
-
-/// [`sorted_neighborhood`] over cached profiles (the lowercase blocking keys
-/// are already computed on each profile).
-pub fn sorted_neighborhood_cached(
-    a: &Relation,
-    cache: &ProfileCache,
-    window: usize,
-) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    fn keys(profs: &[RecordProfile], col: usize) -> Vec<(&str, usize)> {
-        let mut ks: Vec<(&str, usize)> = profs
-            .iter()
-            .enumerate()
-            .map(|(id, rp)| (rp.col(col).map_or("", |p| p.lower()), id))
-            .collect();
-        ks.sort();
-        ks
-    }
-    window_pairs(&keys(cache.a(), col), &keys(cache.b(), col), window)
-}
-
-fn window_pairs<S: Ord>(
-    ka: &[(S, usize)],
-    kb: &[(S, usize)],
-    window: usize,
-) -> Vec<(usize, usize)> {
-    if kb.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // For each sorted A key, locate its insertion point in sorted B keys and
-    // take the window around it.
-    for (key, i) in ka {
-        let pos = kb.partition_point(|(kb_key, _)| kb_key < key);
-        let lo = pos.saturating_sub(window / 2 + window % 2);
-        let hi = (lo + window).min(kb.len());
-        let lo = hi.saturating_sub(window);
-        for (_, j) in &kb[lo..hi] {
-            out.push((*i, *j));
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
     out
 }
 
@@ -498,62 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn token_blocking_requires_shared_token() {
-        let a = rel(&["adaptive query processing", "unrelated thing"]);
-        let b = rel(&["query evaluation", "different words"]);
-        let pairs = token_candidates(&a, &b, 10);
-        assert!(pairs.contains(&(0, 0)));
-        assert!(!pairs.contains(&(1, 1)));
-    }
-
-    #[test]
-    fn sorted_neighborhood_pairs_nearby_keys() {
-        let a = rel(&["alpha", "mike", "zulu"]);
-        let b = rel(&["alpine", "mild", "zero"]);
-        // Window 2 looks at both sides of the insertion point.
-        let pairs = sorted_neighborhood(&a, &b, 2);
-        assert!(pairs.contains(&(0, 0)), "{pairs:?}");
-        assert!(pairs.contains(&(1, 1)), "{pairs:?}");
-        assert!(pairs.contains(&(2, 2)), "{pairs:?}");
-        assert!(pairs.len() <= 6);
-    }
-
-    #[test]
-    fn sorted_neighborhood_window_bounds_output() {
-        let names: Vec<String> = (0..20).map(|i| format!("name{i:02}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let a = rel(&refs);
-        let b = rel(&refs);
-        let pairs = sorted_neighborhood(&a, &b, 3);
-        assert!(pairs.len() <= 20 * 3);
-        // The exact self-match is always inside the window.
-        for i in 0..20 {
-            assert!(pairs.contains(&(i, i)), "missing ({i},{i})");
-        }
-    }
-
-    #[test]
-    fn strategy_dispatch() {
-        let a = rel(&["adaptive query processing"]);
-        let b = rel(&["adaptive query evaluation"]);
-        for strat in [
-            BlockingStrategy::Qgram { q: 3, max_bucket: 10 },
-            BlockingStrategy::Token { max_bucket: 10 },
-            BlockingStrategy::SortedNeighborhood { window: 2 },
-        ] {
-            let pairs = strat.candidates(&a, &b);
-            assert!(pairs.contains(&(0, 0)), "{strat:?} missed the pair");
-        }
-    }
-
-    #[test]
-    fn sorted_neighborhood_empty_b() {
-        let a = rel(&["alpha"]);
-        let b = rel(&[]);
-        assert!(sorted_neighborhood(&a, &b, 3).is_empty());
-    }
-
-    #[test]
     fn cached_blocking_matches_uncached() {
         let a = rel(&["adaptable query optimization", "zzzz completely unrelated", "ab"]);
         let b = rel(&["adaptable query evaluation", "query processing things", "ab"]);
@@ -568,25 +301,6 @@ mod tests {
             candidate_pairs(&a, &b, 2, 10),
             candidate_pairs_cached(&a, &b, &cache, 2, 10)
         );
-        assert_eq!(
-            token_candidates(&a, &b, 10),
-            token_candidates_cached(&a, &cache, 10)
-        );
-        assert_eq!(
-            sorted_neighborhood(&a, &b, 2),
-            sorted_neighborhood_cached(&a, &cache, 2)
-        );
-        for strat in [
-            BlockingStrategy::Qgram { q: 3, max_bucket: 10 },
-            BlockingStrategy::Token { max_bucket: 10 },
-            BlockingStrategy::SortedNeighborhood { window: 2 },
-        ] {
-            assert_eq!(
-                strat.candidates(&a, &b),
-                strat.candidates_cached(&a, &b, &cache),
-                "{strat:?}"
-            );
-        }
     }
 
     #[test]
@@ -633,17 +347,6 @@ mod tests {
             candidate_pairs(&a, &b, 3, 10),
             candidate_pairs_cached(&a, &b, &cache, 3, 10)
         );
-        for strat in [
-            BlockingStrategy::Qgram { q: 3, max_bucket: 10 },
-            BlockingStrategy::Token { max_bucket: 10 },
-            BlockingStrategy::SortedNeighborhood { window: 2 },
-        ] {
-            assert_eq!(
-                strat.candidates(&a, &b),
-                strat.candidates_cached(&a, &b, &cache),
-                "{strat:?}"
-            );
-        }
     }
 
     #[test]

@@ -7,21 +7,35 @@
 //! `grad` buffer. Parameters are leaves created with [`Var::param`]; their
 //! gradients persist until [`Var::zero_grad`], while intermediate nodes are
 //! rebuilt fresh each forward pass.
+//!
+//! `Var` is `Send + Sync`: a fitted model's parameters can be shared by
+//! reference across threads for inference, which only ever reads them.
+//! Training mutates values and gradients through the same locks; it stays
+//! serial per graph by choice, not by type.
 
 use crate::Tensor;
-use std::cell::{Ref, RefCell};
 use std::collections::HashSet;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
 
-type BackwardFn = Box<dyn Fn(&Tensor)>;
+type BackwardFn = Box<dyn Fn(&Tensor) + Send + Sync>;
+
+const POISONED: &str = "a thread panicked while writing a Var's tensor";
+
+fn read(lock: &RwLock<Tensor>) -> RwLockReadGuard<'_, Tensor> {
+    lock.read().expect(POISONED)
+}
+
+fn write(lock: &RwLock<Tensor>) -> RwLockWriteGuard<'_, Tensor> {
+    lock.write().expect(POISONED)
+}
 
 struct VarInner {
     id: usize,
-    data: RefCell<Tensor>,
-    grad: RefCell<Tensor>,
+    data: RwLock<Tensor>,
+    grad: RwLock<Tensor>,
     parents: Vec<Var>,
     backward: Option<BackwardFn>,
     trainable: bool,
@@ -30,14 +44,14 @@ struct VarInner {
 /// A node in the autograd graph.
 #[derive(Clone)]
 pub struct Var {
-    inner: Rc<VarInner>,
+    inner: Arc<VarInner>,
 }
 
 impl std::fmt::Debug for Var {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Var")
             .field("id", &self.inner.id)
-            .field("shape", &self.inner.data.borrow().shape())
+            .field("shape", &read(&self.inner.data).shape())
             .field("trainable", &self.inner.trainable)
             .finish()
     }
@@ -47,10 +61,10 @@ impl Var {
     fn make(data: Tensor, parents: Vec<Var>, backward: Option<BackwardFn>, trainable: bool) -> Var {
         let (r, c) = data.shape();
         Var {
-            inner: Rc::new(VarInner {
+            inner: Arc::new(VarInner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                data: RefCell::new(data),
-                grad: RefCell::new(Tensor::zeros(r, c)),
+                data: RwLock::new(data),
+                grad: RwLock::new(Tensor::zeros(r, c)),
                 parents,
                 backward,
                 trainable,
@@ -75,47 +89,47 @@ impl Var {
 
     /// Shape of the wrapped tensor.
     pub fn shape(&self) -> (usize, usize) {
-        self.inner.data.borrow().shape()
+        read(&self.inner.data).shape()
     }
 
     /// Borrow the forward value.
-    pub fn data(&self) -> Ref<'_, Tensor> {
-        self.inner.data.borrow()
+    pub fn data(&self) -> RwLockReadGuard<'_, Tensor> {
+        read(&self.inner.data)
     }
 
     /// Copy out the forward value.
     pub fn value(&self) -> Tensor {
-        self.inner.data.borrow().clone()
+        read(&self.inner.data).clone()
     }
 
     /// Borrow the accumulated gradient.
-    pub fn grad(&self) -> Ref<'_, Tensor> {
-        self.inner.grad.borrow()
+    pub fn grad(&self) -> RwLockReadGuard<'_, Tensor> {
+        read(&self.inner.grad)
     }
 
     /// Copy out the accumulated gradient.
     pub fn grad_value(&self) -> Tensor {
-        self.inner.grad.borrow().clone()
+        read(&self.inner.grad).clone()
     }
 
     /// Zeroes this node's gradient (for parameters, between steps).
     pub fn zero_grad(&self) {
-        self.inner.grad.borrow_mut().zero_();
+        write(&self.inner.grad).zero_();
     }
 
     /// Overwrites the forward value (optimizer steps mutate params in place).
     pub fn set_value(&self, t: Tensor) {
         assert_eq!(self.shape(), t.shape(), "set_value must preserve shape");
-        *self.inner.data.borrow_mut() = t;
+        *write(&self.inner.data) = t;
     }
 
     /// Applies `f` to the parameter value in place.
     pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
-        f(&mut self.inner.data.borrow_mut());
+        f(&mut write(&self.inner.data));
     }
 
     fn accumulate_grad(&self, delta: &Tensor) {
-        self.inner.grad.borrow_mut().add_scaled_assign(delta, 1.0);
+        write(&self.inner.grad).add_scaled_assign(delta, 1.0);
     }
 
     /// Runs reverse-mode differentiation from this (scalar, `1x1`) node.
@@ -146,10 +160,10 @@ impl Var {
         }
 
         // Seed and propagate.
-        *self.inner.grad.borrow_mut() = Tensor::full(1, 1, 1.0);
+        *write(&self.inner.grad) = Tensor::full(1, 1, 1.0);
         for node in order.iter().rev() {
             if let Some(f) = &node.inner.backward {
-                let g = node.inner.grad.borrow().clone();
+                let g = read(&node.inner.grad).clone();
                 f(&g);
             }
         }

@@ -10,10 +10,10 @@
 //! `crates/marginals`) can stand in for the GAN without touching the rest of
 //! the pipeline.
 //!
-//! Dispatch is a plain enum, not a trait object: the backend must be `Clone`
-//! for serving replicas, persistable, and there are exactly two variants —
-//! an enum keeps match-exhaustiveness checking and avoids boxing on the hot
-//! rejection path.
+//! Dispatch is a plain enum, not a trait object: the backend is persistable,
+//! `Send + Sync` like the rest of the model (serve workers share one parsed
+//! instance), and there are exactly two variants — an enum keeps
+//! match-exhaustiveness checking and avoids boxing on the hot rejection path.
 //!
 //! # RNG-stream contract
 //!

@@ -1,14 +1,12 @@
 //! Hot-swappable artifact cache.
 //!
-//! The unit of sharing is the artifact **text**, not the deserialized model:
-//! `SerdModel` holds `Rc`-based autograd state (`neural::Var`) and is
-//! deliberately not `Send`/`Sync`. So the cache keeps each model's raw
-//! `serd-model-v1` text in an [`ArtifactBlob`] behind an `Arc`, and every
-//! worker thread materializes its own private `SerdSynthesizer` replica from
-//! that text on first use ([`with_worker_model`]). The offline/online
-//! byte-fixpoint property (save → load → save is the identity) guarantees
-//! every replica of the same blob behaves bit-identically, so "which worker
-//! answered" can never show through in a response.
+//! The unit of sharing is the parsed model. Each [`ArtifactBlob`] holds the
+//! one `SerdSynthesizer` parsed from its artifact version behind an `Arc`,
+//! and every worker synthesizes from that same instance by shared reference:
+//! the model is `Send + Sync` and inference only reads its weights, so a
+//! version is parsed once, not once per worker.
+//! Requests never mutate the model (each derives its own RNG from its seed),
+//! so "which worker answered" can never show through in a response.
 //!
 //! Hot swap: [`ArtifactCache::get`] stats the backing file on every request
 //! and compares a `(mtime, len)` stamp. On change it re-reads and re-parses
@@ -19,9 +17,8 @@
 //! should write a fresh file and `rename(2)` it over the old one so readers
 //! never observe a half-written artifact.
 
-use serd::api::{ApiError, SynthesisRequest, SynthesisResponse};
+use serd::api::ApiError;
 use serd::{Persist, SerdModel, SerdSynthesizer};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,29 +68,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Summary metadata extracted from a parsed artifact, cheap enough to carry
-/// on the shared blob for `/models` listings.
-#[derive(Debug, Clone)]
-pub struct ModelMeta {
-    /// Fitted target sizes `(|A_syn|, |B_syn|)`.
-    pub n_a: usize,
-    /// See [`ModelMeta::n_a`].
-    pub n_b: usize,
-    /// DP ε (δ = 1e-5) of the fit.
-    pub epsilon: f64,
-    /// Whether the artifact was fitted with entity rejection enabled
-    /// (`false` = the SERD- ablation; per-request rejection overrides are
-    /// rejected with 409 for such artifacts).
-    pub rejection: bool,
-    /// Relation names `(A, B)`.
-    pub names: (String, String),
-    /// Which tabular backend the artifact carries (`"gan"` or
-    /// `"marginals"`).
-    pub backend: &'static str,
-}
-
-/// One loaded artifact version: the raw text plus metadata. Immutable once
-/// published; hot swaps replace the whole blob.
+/// One loaded artifact version: the parsed model plus its identity.
+/// Immutable once published; hot swaps replace the whole blob.
 pub struct ArtifactBlob {
     /// Model name (file stem under the models directory).
     pub name: String,
@@ -101,14 +77,13 @@ pub struct ArtifactBlob {
     pub version: u64,
     /// Opaque cache validator exposed as the `X-Model-Etag` response header.
     pub etag: String,
-    /// The `serd-model-v1` artifact text workers deserialize from.
-    pub text: String,
-    /// Parsed-out summary for `/models`.
-    pub meta: ModelMeta,
-    /// The stamp the text was read under (stale iff the file's differs).
+    /// The model parsed from this version's artifact, shared by every
+    /// worker.
+    pub synth: SerdSynthesizer,
+    /// The stamp the artifact was read under (stale iff the file's differs).
     pub stamp: FileStamp,
-    /// FNV-1a hash of `text` — the change detector of last resort when the
-    /// filesystem's mtime is unavailable or untrustworthy.
+    /// FNV-1a hash of the artifact bytes — the change detector of last
+    /// resort when the filesystem's mtime is unavailable or untrustworthy.
     pub content_fnv: u64,
 }
 
@@ -127,17 +102,6 @@ pub fn valid_name(name: &str) -> bool {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-}
-
-fn meta_of(model: &SerdModel) -> ModelMeta {
-    ModelMeta {
-        n_a: model.n_a,
-        n_b: model.n_b,
-        epsilon: model.epsilon,
-        rejection: model.online.reject_by_discriminator || model.online.reject_by_distribution,
-        names: model.names.clone(),
-        backend: model.backend.kind().name(),
-    }
 }
 
 impl ArtifactCache {
@@ -184,7 +148,9 @@ impl ArtifactCache {
         let mut counts: std::collections::BTreeMap<&'static str, usize> =
             std::collections::BTreeMap::new();
         for blob in self.entries.read().unwrap().values() {
-            *counts.entry(blob.meta.backend).or_insert(0) += 1;
+            *counts
+                .entry(blob.synth.model().backend.kind().name())
+                .or_insert(0) += 1;
         }
         counts.into_iter().collect()
     }
@@ -266,11 +232,7 @@ impl ArtifactCache {
                 .map_err(|e| ApiError::Io(format!("read {}: {e}", path.display())))?,
         };
         let content_fnv = fnv1a64(text.as_bytes());
-        // Parse once here to validate and extract metadata; workers parse
-        // their own replicas from the same text later.
         let model = SerdModel::from_persist_str(&text).map_err(ApiError::from)?;
-        let meta = meta_of(&model);
-        drop(model);
 
         let mut map = self.entries.write().unwrap();
         if let Some(existing) = map.get(name) {
@@ -286,8 +248,7 @@ impl ArtifactCache {
             name: name.to_string(),
             version,
             etag: format!("{name}.v{version}.{}.{content_fnv:016x}", stamp.len),
-            text,
-            meta,
+            synth: SerdSynthesizer::from_model(model),
             stamp,
             content_fnv,
         });
@@ -314,49 +275,6 @@ impl ArtifactCache {
         }
         Err(err)
     }
-}
-
-thread_local! {
-    // Per-thread materialized replicas, keyed by model name. The (etag)
-    // tag invalidates a replica when its blob is swapped. Never shared:
-    // SerdSynthesizer is not Send and must not be.
-    static WORKER_MODELS: RefCell<HashMap<String, (String, SerdSynthesizer)>> =
-        RefCell::new(HashMap::new());
-}
-
-/// Runs `f` against this thread's private replica of `blob`, materializing
-/// (or re-materializing, after a swap) it first. Replica construction parses
-/// the blob's text; thanks to the artifact byte-fixpoint property the result
-/// is bit-equivalent on every thread.
-pub fn with_worker_model<T>(
-    blob: &ArtifactBlob,
-    f: impl FnOnce(&SerdSynthesizer) -> T,
-) -> Result<T, ApiError> {
-    WORKER_MODELS.with(|cell| {
-        let mut map = cell.borrow_mut();
-        let stale = map
-            .get(&blob.name)
-            .map_or(true, |(etag, _)| *etag != blob.etag);
-        if stale {
-            let _span = obs::span("serve.materialize");
-            let model = SerdModel::from_persist_str(&blob.text).map_err(ApiError::from)?;
-            map.insert(
-                blob.name.clone(),
-                (blob.etag.clone(), SerdSynthesizer::from_model(model)),
-            );
-        }
-        let (_, synth) = map.get(&blob.name).expect("replica just inserted");
-        Ok(f(synth))
-    })
-}
-
-/// Resolves `req` against this thread's replica of `blob` and synthesizes.
-/// The composition the HTTP handler and the bench driver share.
-pub fn synthesize_on_worker(
-    blob: &ArtifactBlob,
-    req: &SynthesisRequest,
-) -> Result<SynthesisResponse, ApiError> {
-    with_worker_model(blob, |synth| serd::api::synthesize(synth, req))?
 }
 
 #[cfg(test)]

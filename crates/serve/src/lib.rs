@@ -39,9 +39,9 @@
 //!
 //! Bit-reproducibility under concurrency and zero-downtime hot swap carry
 //! over unchanged from the original design (§12): every request derives its
-//! own RNG from `seed ^ ONLINE_SEED_SALT`, workers materialize private
-//! model replicas from the shared artifact text, and in-flight requests
-//! finish on the version they started with.
+//! own RNG from `seed ^ ONLINE_SEED_SALT`, every worker reads the one
+//! parsed model of an artifact version, and in-flight requests finish on
+//! the version they started with.
 
 pub mod cache;
 pub mod client;
@@ -450,21 +450,24 @@ impl Server {
         let mut entries = Vec::new();
         for name in self.cache.list_names() {
             match self.cache.get(&name) {
-                Ok(blob) => entries.push(format!(
-                    "{{\"name\":\"{}\",\"version\":{},\"etag\":\"{}\",\"n_a\":{},\"n_b\":{},\
-                     \"epsilon\":{},\"rejection\":{},\"backend\":\"{}\",\
-                     \"relations\":[\"{}\",\"{}\"]}}",
-                    obs::json_escape(&blob.name),
-                    blob.version,
-                    obs::json_escape(&blob.etag),
-                    blob.meta.n_a,
-                    blob.meta.n_b,
-                    obs::json_f64(blob.meta.epsilon),
-                    blob.meta.rejection,
-                    blob.meta.backend,
-                    obs::json_escape(&blob.meta.names.0),
-                    obs::json_escape(&blob.meta.names.1),
-                )),
+                Ok(blob) => {
+                    let model = blob.synth.model();
+                    entries.push(format!(
+                        "{{\"name\":\"{}\",\"version\":{},\"etag\":\"{}\",\"n_a\":{},\
+                         \"n_b\":{},\"epsilon\":{},\"rejection\":{},\"backend\":\"{}\",\
+                         \"relations\":[\"{}\",\"{}\"]}}",
+                        obs::json_escape(&blob.name),
+                        blob.version,
+                        obs::json_escape(&blob.etag),
+                        model.n_a,
+                        model.n_b,
+                        obs::json_f64(model.epsilon),
+                        model.online.reject_by_discriminator || model.online.reject_by_distribution,
+                        model.backend.kind().name(),
+                        obs::json_escape(&model.names.0),
+                        obs::json_escape(&model.names.1),
+                    ));
+                }
                 Err(e) => entries.push(format!(
                     "{{\"name\":\"{}\",\"error\":\"{}\"}}",
                     obs::json_escape(&name),
@@ -532,7 +535,7 @@ impl Server {
     }
 
     /// The pure part of `/synthesize`: parse → resolve blob → consult the
-    /// response cache → on miss, synthesize on this worker's replica and
+    /// response cache → on miss, synthesize from the blob's shared model and
     /// render. Returns the cached-or-fresh body plus `"hit"`/`"miss"` for
     /// the `X-Cache` header. The cache key embeds the blob's etag, so the
     /// etag header and body are consistent by construction — across hot
@@ -550,7 +553,7 @@ impl Server {
             obs::counter("serve.synthesize", 1);
             return Ok((cached, "hit"));
         }
-        let response = cache::synthesize_on_worker(&blob, &sreq)?;
+        let response = serd::api::synthesize(&blob.synth, &sreq)?;
         obs::counter("serve.synthesize", 1);
         let (body, content_type) = match wire {
             Wire::Csv(table) => (response.csv(table), "text/csv"),

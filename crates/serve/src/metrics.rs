@@ -23,6 +23,16 @@ pub const BUCKET_EDGES_MS: [f64; 12] = [
 /// survive only in the buckets and count/mean).
 const SAMPLE_WINDOW: usize = 4096;
 
+/// Nearest-rank percentile of ascending-sorted samples: the element at
+/// rank `round(p·(n−1))`, or 0 for no samples.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
 #[derive(Default)]
 struct EndpointLat {
     count: u64,
@@ -52,14 +62,6 @@ impl EndpointLat {
         }
     }
 
-    fn percentile(sorted: &[f64], p: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
     fn to_json(&self, endpoint: &str) -> String {
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -85,9 +87,9 @@ impl EndpointLat {
             obs::json_escape(endpoint),
             self.count,
             obs::json_f64(mean),
-            obs::json_f64(Self::percentile(&sorted, 0.50)),
-            obs::json_f64(Self::percentile(&sorted, 0.90)),
-            obs::json_f64(Self::percentile(&sorted, 0.99)),
+            obs::json_f64(percentile(&sorted, 0.50)),
+            obs::json_f64(percentile(&sorted, 0.90)),
+            obs::json_f64(percentile(&sorted, 0.99)),
             obs::json_f64(self.max_ms),
             buckets,
         )
@@ -362,8 +364,8 @@ mod tests {
         let mut sorted = lat.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         // Nearest-rank on 100 samples: round(0.5 * 99) = 50 -> value 51.
-        assert_eq!(EndpointLat::percentile(&sorted, 0.50), 51.0);
-        assert_eq!(EndpointLat::percentile(&sorted, 0.99), 99.0);
+        assert_eq!(percentile(&sorted, 0.50), 51.0);
+        assert_eq!(percentile(&sorted, 0.99), 99.0);
         assert_eq!(lat.max_ms, 100.0);
         assert_eq!(lat.count, 100);
         assert_eq!(lat.buckets.iter().sum::<u64>(), 100);

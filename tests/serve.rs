@@ -7,8 +7,8 @@
 //! artifacts (seeds 11 and 12) and the CLI's expected synthesis outputs for
 //! them, built once per test process.
 
-use serd_repro::serd::api::ApiError;
-use serd_repro::serd::SerdModel;
+use serd_repro::serd::api::{self, ApiError, ModelRef, SynthesisRequest, Table};
+use serd_repro::serd::{SerdModel, SerdSynthesizer};
 use serd_repro::serve::{client, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -473,7 +473,7 @@ fn same_length_republish_is_detected_without_mtime() {
     let v2 = cache.get("republish").unwrap();
     assert_eq!(v2.version, 2, "same-length republish went unnoticed");
     assert_ne!(v2.etag, v1.etag);
-    assert_eq!(v2.meta.n_a, republished_n_a);
+    assert_eq!(v2.synth.model().n_a, republished_n_a);
     assert_eq!(cache.swaps(), 1);
 }
 
@@ -699,4 +699,65 @@ fn serve_requires_an_existing_models_dir() {
         Ok(_) => panic!("bind over a missing models dir succeeded"),
     };
     assert!(matches!(err, ApiError::NotFound(_)), "{err}");
+}
+
+/// Every serve worker reads the one parsed model of an artifact version by
+/// shared reference; this stops compiling if any part of the model (down to
+/// the autograd nodes holding its weights) stops being `Send + Sync`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<serd_repro::neural::Var>();
+    assert_send_sync::<SerdModel>();
+    assert_send_sync::<SerdSynthesizer>();
+};
+
+/// Four threads synthesizing from one shared `&SerdSynthesizer` produce the
+/// same bytes as a serial run: inference never writes to the model.
+#[test]
+fn threads_sharing_one_model_match_the_serial_bytes() {
+    let synth = SerdSynthesizer::from_model(SerdModel::load_from(&fixture().v1).unwrap());
+    let render = |seed: u64| {
+        let req = SynthesisRequest {
+            seed,
+            ..SynthesisRequest::new(ModelRef::Name("shared".into()))
+        };
+        let out = api::synthesize(&synth, &req).unwrap();
+        [Table::A, Table::B, Table::Matches].map(|t| out.csv(t))
+    };
+    let serial: Vec<[String; 3]> = (1..=4).map(render).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| s.spawn(|| (1..=4).map(render).collect::<Vec<_>>()))
+            .collect();
+        for worker in workers {
+            assert_eq!(worker.join().unwrap(), serial, "shared-model run diverged");
+        }
+    });
+}
+
+/// An unchanged artifact is parsed once: repeated lookups hand out the same
+/// model instance, and only a republish produces a new one.
+#[test]
+fn unchanged_artifact_resolves_to_the_same_model() {
+    let fx = fixture();
+    let models = fx.base.join("models_parse_once");
+    std::fs::create_dir_all(&models).unwrap();
+    let served = models.join("once.serd");
+    std::fs::copy(&fx.v1, &served).unwrap();
+
+    let cache = serd_repro::serve::ArtifactCache::new(&models).unwrap();
+    let first = cache.get("once").unwrap();
+    let second = cache.get("once").unwrap();
+    assert!(
+        Arc::ptr_eq(&first, &second),
+        "unchanged artifact was re-parsed"
+    );
+
+    let staging = models.join("incoming.tmp");
+    std::fs::copy(&fx.v2, &staging).unwrap();
+    std::fs::rename(&staging, &served).unwrap();
+    let swapped = cache.get("once").unwrap();
+    assert!(!Arc::ptr_eq(&first, &swapped));
+    assert_eq!(swapped.version, 2);
+    assert!(Arc::ptr_eq(&swapped, &cache.get("once").unwrap()));
 }
