@@ -18,14 +18,10 @@ use serd_repro::datagen::{generate_with_min_matches, DatasetKind};
 use serd_repro::er_core::Relation;
 use serd_repro::gan::{DpGanConfig, TabularGan, TabularGanConfig};
 use serd_repro::marginals::{MarginalSynthesizer, MarginalsConfig};
+use serd_repro::serve::metrics::percentile;
 
 const DELTA: f64 = 1e-5;
 const SIGMA_GRID: [f64; 6] = [32.0, 16.0, 8.0, 4.0, 2.0, 1.0];
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
 
 fn main() {
     let kind = DatasetKind::Restaurant;
@@ -71,8 +67,10 @@ fn main() {
         assert!(m.epsilon().is_finite());
     }
 
-    let gan_ms = median_ms(gan_times);
-    let marg_ms = median_ms(marg_times);
+    gan_times.sort_by(f64::total_cmp);
+    marg_times.sort_by(f64::total_cmp);
+    let gan_ms = percentile(&gan_times, 0.5);
+    let marg_ms = percentile(&marg_times, 0.5);
     println!(
         "{{\"dataset\":\"{}\",\"rows\":{},\"delta\":{DELTA},\
          \"gan\":{{\"fit_ms\":{gan_ms:.3},\"epsilon\":{gan_eps:.4}}},\

@@ -1,208 +1,130 @@
-//! Plain-text persistence for fitted mixtures.
+//! [`Persist`] codecs for fitted mixtures.
 //!
 //! The paper's pipeline splits into an *offline* phase (hours: train models,
 //! learn distributions) and an *online* phase (minutes: synthesize). This
-//! module lets the offline artifacts — the learned `O`-distribution — be
-//! saved and shipped without any dependency on a serialization crate. The
-//! format is a line-oriented text format with full `f64` precision (hex
-//! bits), versioned for forward compatibility.
+//! module lets the offline artifact — the learned `O`-distribution — be
+//! saved and shipped through the shared `persist` grammar: hex-bit-pattern
+//! floats (bit-exact round trips), a magic line per component, and per-line
+//! validation on read.
+//!
+//! A mixture (`serd-gmm-v1`) stores its parameters *and* its EM sufficient
+//! statistics, so a reloaded model keeps supporting incremental updates
+//! (Eq. 8–9). The `O`-distribution (`serd-odist-v1`) keeps the layout of its
+//! original standalone format: a `lines` count, a `serd-omixture-v1` line,
+//! `pi`, then the two mixtures behind `--m--` / `--n--` marker lines.
 //!
 //! Note the privacy angle: an `OMixture` file contains only distribution
 //! parameters, which is exactly the artifact the paper argues is safe to
 //! share (Section II-D).
 
 use crate::em::SuffStats;
-use crate::{Gaussian, Gmm, GmmError, OMixture, Result};
+use crate::{Gaussian, Gmm, OMixture};
 use linalg::Matrix;
 use persist::{Persist, Reader, Writer};
-use std::fmt::Write as _;
 
-const MAGIC: &str = "serd-gmm-v1";
+/// Upper bound on a persisted mixture's component count. The same cap
+/// `SerdModel` puts on `gmm_max_components`, so no fit can exceed it.
+pub const MAX_PERSISTED_COMPONENTS: usize = 256;
 
-/// Serializes a mixture to the text format.
-pub fn gmm_to_string(gmm: &Gmm) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{MAGIC}");
-    let _ = writeln!(out, "components {}", gmm.num_components());
-    let _ = writeln!(out, "dim {}", gmm.dim());
-    let _ = writeln!(out, "reg_covar {}", f64_to_hex(gmm.reg_covar()));
-    let _ = writeln!(out, "n {}", f64_to_hex(gmm.stats().n));
-    for k in 0..gmm.num_components() {
-        let _ = writeln!(out, "weight {}", f64_to_hex(gmm.weights()[k]));
-        let comp = &gmm.components()[k];
-        let _ = writeln!(out, "mean {}", vec_to_hex(comp.mean()));
-        let _ = writeln!(out, "cov {}", vec_to_hex(comp.cov().as_slice()));
-        let _ = writeln!(out, "gamma {}", f64_to_hex(gmm.stats().gamma[k]));
-        let _ = writeln!(out, "sum_x {}", vec_to_hex(&gmm.stats().sum_x[k]));
-        let _ = writeln!(out, "sum_xx {}", vec_to_hex(gmm.stats().sum_xx[k].as_slice()));
-    }
-    out
-}
+/// Upper bound on a persisted mixture's dimensionality (one similarity
+/// feature per attribute). Checked before any `dim × dim` buffer exists.
+const MAX_PERSISTED_DIM: usize = 1024;
 
-/// Parses a mixture from the text format.
-pub fn gmm_from_str(text: &str) -> Result<Gmm> {
-    let mut lines = text.lines();
-    expect(&mut lines, MAGIC)?;
-    let g: usize = parse_kv(lines.next(), "components")?;
-    let d: usize = parse_kv(lines.next(), "dim")?;
-    let reg_covar = hex_to_f64(&parse_kv::<String>(lines.next(), "reg_covar")?)?;
-    let n = hex_to_f64(&parse_kv::<String>(lines.next(), "n")?)?;
-
-    let mut weights = Vec::with_capacity(g);
-    let mut components = Vec::with_capacity(g);
-    let mut stats = SuffStats::zeros(g, d);
-    stats.n = n;
-    for k in 0..g {
-        weights.push(hex_to_f64(&parse_kv::<String>(lines.next(), "weight")?)?);
-        let mean = hex_to_vec(&parse_kv::<String>(lines.next(), "mean")?, d)?;
-        let cov_data = hex_to_vec(&parse_kv::<String>(lines.next(), "cov")?, d * d)?;
-        let cov = Matrix::from_vec(d, d, cov_data);
-        components.push(Gaussian::new(mean, cov)?);
-        stats.gamma[k] = hex_to_f64(&parse_kv::<String>(lines.next(), "gamma")?)?;
-        stats.sum_x[k] = hex_to_vec(&parse_kv::<String>(lines.next(), "sum_x")?, d)?;
-        let sxx = hex_to_vec(&parse_kv::<String>(lines.next(), "sum_xx")?, d * d)?;
-        stats.sum_xx[k] = Matrix::from_vec(d, d, sxx);
-    }
-    Gmm::from_parts(weights, components, stats, reg_covar)
-}
-
-/// Serializes an `O`-distribution (π + both mixtures).
-pub fn omixture_to_string(o: &OMixture) -> String {
-    format!(
-        "serd-omixture-v1\npi {}\n--m--\n{}--n--\n{}",
-        f64_to_hex(o.pi()),
-        gmm_to_string(o.m()),
-        gmm_to_string(o.n())
-    )
-}
-
-/// Parses an `O`-distribution.
-pub fn omixture_from_str(text: &str) -> Result<OMixture> {
-    let mut parts = text.splitn(2, "--m--\n");
-    let header = parts.next().unwrap_or("");
-    let rest = parts
-        .next()
-        .ok_or_else(|| GmmError::Parse("missing --m-- section".into()))?;
-    let mut header_lines = header.lines();
-    expect(&mut header_lines, "serd-omixture-v1")?;
-    let pi = hex_to_f64(&parse_kv::<String>(header_lines.next(), "pi")?)?;
-    let mut mn = rest.splitn(2, "--n--\n");
-    let m_text = mn
-        .next()
-        .ok_or_else(|| GmmError::Parse("missing M mixture".into()))?;
-    let n_text = mn
-        .next()
-        .ok_or_else(|| GmmError::Parse("missing --n-- section".into()))?;
-    OMixture::new(pi, gmm_from_str(m_text)?, gmm_from_str(n_text)?)
-}
-
-/// Upper bound on embedded o-distribution line counts.
-const MAX_EMBEDDED_LINES: usize = 1 << 22;
-
-/// [`Persist`] wrapper for the `O`-distribution: the established
-/// `serd-omixture-v1` text is embedded verbatim behind a line count, so the
-/// standalone format and the model-artifact embedding stay byte-compatible.
-impl Persist for OMixture {
-    const MAGIC: &'static str = "serd-odist-v1";
+impl Persist for Gmm {
+    const MAGIC: &'static str = "serd-gmm-v1";
 
     fn write_body(&self, w: &mut Writer) {
-        let text = omixture_to_string(self);
-        let lines: Vec<&str> = text.lines().collect();
-        w.kv("lines", lines.len());
-        for l in lines {
-            w.line(l);
+        let stats = self.stats();
+        w.kv("components", self.num_components());
+        w.kv("dim", self.dim());
+        w.kv_f64("reg_covar", self.reg_covar());
+        w.kv_f64("n", stats.n);
+        for (k, comp) in self.components().iter().enumerate() {
+            w.kv_f64("weight", self.weights()[k]);
+            w.kv_f64s("mean", comp.mean());
+            w.kv_f64s("cov", comp.cov().as_slice());
+            w.kv_f64("gamma", stats.gamma[k]);
+            w.kv_f64s("sum_x", &stats.sum_x[k]);
+            w.kv_f64s("sum_xx", stats.sum_xx[k].as_slice());
         }
     }
 
     fn read_body(r: &mut Reader<'_>) -> persist::Result<Self> {
-        let n = r.kv_usize("lines")?;
-        if n > MAX_EMBEDDED_LINES {
-            return Err(r.invalid(format!("implausible line count {n}")));
+        let g = r.kv_usize("components")?;
+        if g == 0 || g > MAX_PERSISTED_COMPONENTS {
+            return Err(r.invalid(format!(
+                "components {g} outside [1, {MAX_PERSISTED_COMPONENTS}]"
+            )));
         }
+        let d = r.kv_usize("dim")?;
+        if d == 0 || d > MAX_PERSISTED_DIM {
+            return Err(r.invalid(format!("dim {d} outside [1, {MAX_PERSISTED_DIM}]")));
+        }
+        let reg_covar = r.kv_finite_f64("reg_covar")?;
+        let mut stats = SuffStats {
+            gamma: Vec::with_capacity(g),
+            sum_x: Vec::with_capacity(g),
+            sum_xx: Vec::with_capacity(g),
+            n: r.kv_finite_f64("n")?,
+        };
+        let mut weights = Vec::with_capacity(g);
+        let mut components = Vec::with_capacity(g);
+        for _ in 0..g {
+            weights.push(r.kv_finite_f64("weight")?);
+            let mean = r.kv_finite_f64s("mean", d)?;
+            let cov = Matrix::from_vec(d, d, r.kv_finite_f64s("cov", d * d)?);
+            components.push(Gaussian::new(mean, cov).map_err(|e| r.invalid(e.to_string()))?);
+            stats.gamma.push(r.kv_finite_f64("gamma")?);
+            stats.sum_x.push(r.kv_finite_f64s("sum_x", d)?);
+            stats.sum_xx.push(Matrix::from_vec(d, d, r.kv_finite_f64s("sum_xx", d * d)?));
+        }
+        Gmm::from_parts(weights, components, stats, reg_covar)
+            .map_err(|e| r.invalid(e.to_string()))
+    }
+}
+
+impl Persist for OMixture {
+    const MAGIC: &'static str = "serd-odist-v1";
+
+    fn write_body(&self, w: &mut Writer) {
+        // Lines after this one: `serd-omixture-v1`, `pi`, `--m--`, `--n--`,
+        // five header lines per mixture, and six lines per component.
+        let g = self.m().num_components() + self.n().num_components();
+        w.kv("lines", 14 + 6 * g);
+        w.line("serd-omixture-v1");
+        w.kv_f64("pi", self.pi());
+        w.line("--m--");
+        w.child(self.m());
+        w.line("--n--");
+        w.child(self.n());
+    }
+
+    fn read_body(r: &mut Reader<'_>) -> persist::Result<Self> {
+        let declared = r.kv_usize("lines")?;
         let start = r.line_no();
-        let mut text = String::new();
-        for _ in 0..n {
-            text.push_str(r.raw_line()?);
-            text.push('\n');
+        r.magic("serd-omixture-v1")?;
+        let pi = r.kv_finite_f64("pi")?;
+        // `OMixture::new` clamps π; an out-of-range value is corruption.
+        if !(0.0..=1.0).contains(&pi) {
+            return Err(r.invalid(format!("pi {pi} outside [0, 1]")));
         }
-        let o = omixture_from_str(&text).map_err(|e| persist::PersistError::Invalid {
-            line: start,
-            msg: format!("o-distribution: {e}"),
-        })?;
-        // `omixture_from_str` checks structure; finiteness is this layer's
-        // policy — a NaN mean would silently poison every posterior online.
-        if !o.pi().is_finite() || !(0.0..=1.0).contains(&o.pi()) {
-            return Err(r.invalid(format!("pi {} out of [0, 1]", o.pi())));
+        r.magic("--m--")?;
+        let m: Gmm = r.child()?;
+        r.magic("--n--")?;
+        let n: Gmm = r.child()?;
+        let consumed = r.line_no() - start;
+        if consumed != declared {
+            return Err(r.invalid(format!("lines {declared} declared, {consumed} present")));
         }
-        for (name, g) in [("m", o.m()), ("n", o.n())] {
-            let st = g.stats();
-            let finite = g.reg_covar().is_finite()
-                && g.weights().iter().all(|w| w.is_finite())
-                && g.components().iter().all(|c| {
-                    c.mean().iter().all(|v| v.is_finite())
-                        && c.cov().as_slice().iter().all(|v| v.is_finite())
-                })
-                && st.n.is_finite()
-                && st.gamma.iter().all(|v| v.is_finite())
-                && st.sum_x.iter().flatten().all(|v| v.is_finite())
-                && st.sum_xx.iter().all(|m| m.as_slice().iter().all(|v| v.is_finite()));
-            if !finite {
-                return Err(r.invalid(format!("non-finite parameters in mixture {name:?}")));
-            }
-        }
-        Ok(o)
+        OMixture::new(pi, m, n).map_err(|e| r.invalid(e.to_string()))
     }
-}
-
-fn expect<'a>(lines: &mut impl Iterator<Item = &'a str>, magic: &str) -> Result<()> {
-    match lines.next() {
-        Some(l) if l.trim() == magic => Ok(()),
-        other => Err(GmmError::Parse(format!(
-            "expected header {magic:?}, found {other:?}"
-        ))),
-    }
-}
-
-fn parse_kv<T: std::str::FromStr>(line: Option<&str>, key: &str) -> Result<T> {
-    let line = line.ok_or_else(|| GmmError::Parse(format!("missing line for {key}")))?;
-    let rest = line
-        .strip_prefix(key)
-        .ok_or_else(|| GmmError::Parse(format!("expected key {key:?} in {line:?}")))?
-        .trim();
-    rest.parse()
-        .map_err(|_| GmmError::Parse(format!("bad value for {key}: {rest:?}")))
-}
-
-fn f64_to_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn hex_to_f64(s: &str) -> Result<f64> {
-    u64::from_str_radix(s.trim(), 16)
-        .map(f64::from_bits)
-        .map_err(|_| GmmError::Parse(format!("bad f64 hex {s:?}")))
-}
-
-fn vec_to_hex(v: &[f64]) -> String {
-    v.iter().map(|&x| f64_to_hex(x)).collect::<Vec<_>>().join(" ")
-}
-
-fn hex_to_vec(s: &str, expected: usize) -> Result<Vec<f64>> {
-    let out: Result<Vec<f64>> = s.split_whitespace().map(hex_to_f64).collect();
-    let out = out?;
-    if out.len() != expected {
-        return Err(GmmError::Parse(format!(
-            "expected {expected} values, found {}",
-            out.len()
-        )));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::GmmConfig;
+    use persist::PersistError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -216,39 +138,96 @@ mod tests {
         Gmm::fit(&data, 2, &GmmConfig::default(), &mut rng).unwrap()
     }
 
+    /// A hand-built mixture with one shared 2×2 covariance and fixed
+    /// sufficient statistics, so its artifact text is a stable literal.
+    fn fixed(means: &[[f64; 2]]) -> Gmm {
+        let g = means.len();
+        let cov = || Matrix::from_vec(2, 2, vec![0.5, 0.125, 0.125, 0.25]);
+        let comps = means.iter().map(|m| Gaussian::new(m.to_vec(), cov()).unwrap()).collect();
+        let stats = SuffStats {
+            gamma: vec![4.0; g],
+            sum_x: means.iter().map(|m| vec![4.0 * m[0], 4.0 * m[1]]).collect(),
+            sum_xx: vec![Matrix::from_vec(2, 2, vec![2.0, 0.5, 0.5, 1.0]); g],
+            n: 4.0 * g as f64,
+        };
+        Gmm::from_parts(vec![1.0 / g as f64; g], comps, stats, 0.125).unwrap()
+    }
+
+    /// The `serd-odist-v1` bytes of two `fixed` mixtures. Every shipped
+    /// `.serd` artifact embeds this layout, so a change here needs a format
+    /// version bump.
+    const FIXED_ODIST: &str = "\
+serd-odist-v1
+lines 32
+serd-omixture-v1
+pi 3fd0000000000000
+--m--
+serd-gmm-v1
+components 2
+dim 2
+reg_covar 3fc0000000000000
+n 4020000000000000
+weight 3fe0000000000000
+mean 3fe8000000000000 3ff0000000000000
+cov 3fe0000000000000 3fc0000000000000 3fc0000000000000 3fd0000000000000
+gamma 4010000000000000
+sum_x 4008000000000000 4010000000000000
+sum_xx 4000000000000000 3fe0000000000000 3fe0000000000000 3ff0000000000000
+weight 3fe0000000000000
+mean 3fe0000000000000 8000000000000000
+cov 3fe0000000000000 3fc0000000000000 3fc0000000000000 3fd0000000000000
+gamma 4010000000000000
+sum_x 4000000000000000 8000000000000000
+sum_xx 4000000000000000 3fe0000000000000 3fe0000000000000 3ff0000000000000
+--n--
+serd-gmm-v1
+components 1
+dim 2
+reg_covar 3fc0000000000000
+n 4010000000000000
+weight 3ff0000000000000
+mean 3fd0000000000000 0000000000000000
+cov 3fe0000000000000 3fc0000000000000 3fc0000000000000 3fd0000000000000
+gamma 4010000000000000
+sum_x 3ff0000000000000 0000000000000000
+sum_xx 4000000000000000 3fe0000000000000 3fe0000000000000 3ff0000000000000
+";
+
+    #[test]
+    fn odist_layout_is_pinned() {
+        let o = OMixture::new(0.25, fixed(&[[0.75, 1.0], [0.5, -0.0]]), fixed(&[[0.25, 0.0]]))
+            .unwrap();
+        assert_eq!(o.to_persist_string(), FIXED_ODIST);
+        let back = OMixture::from_persist_str(FIXED_ODIST).unwrap();
+        assert_eq!(back.to_persist_string(), FIXED_ODIST);
+        assert_eq!(back.m().components()[1].mean()[1].to_bits(), (-0.0f64).to_bits());
+        for x in [[0.3, 0.3], [0.8, 0.8]] {
+            assert_eq!(back.posterior_match(&x).to_bits(), o.posterior_match(&x).to_bits());
+        }
+    }
+
     #[test]
     fn gmm_roundtrip_bitexact() {
         let gmm = fitted(1);
-        let text = gmm_to_string(&gmm);
-        let back = gmm_from_str(&text).unwrap();
+        let text = gmm.to_persist_string();
+        let back = Gmm::from_persist_str(&text).unwrap();
         assert_eq!(back.num_components(), 2);
         assert_eq!(back.weights(), gmm.weights());
         for x in [[0.5, 0.5], [0.1, 0.2], [0.95, 0.85]] {
             assert_eq!(back.log_pdf(&x), gmm.log_pdf(&x));
         }
+        assert_eq!(back.to_persist_string(), text);
     }
 
     #[test]
     fn roundtrip_preserves_incremental_updates() {
-        let gmm = fitted(2);
-        let text = gmm_to_string(&gmm);
-        let mut a = gmm_from_str(&text).unwrap();
-        let mut b = gmm_from_str(&text).unwrap();
+        let mut a = fitted(2);
+        let mut b = Gmm::from_persist_str(&a.to_persist_string()).unwrap();
         let delta = vec![vec![0.5, 0.5]; 10];
         a.update_incremental(&delta).unwrap();
         b.update_incremental(&delta).unwrap();
         assert_eq!(a.log_pdf(&[0.5, 0.5]), b.log_pdf(&[0.5, 0.5]));
-    }
-
-    #[test]
-    fn omixture_roundtrip() {
-        let o = OMixture::new(0.21, fitted(3), fitted(4)).unwrap();
-        let text = omixture_to_string(&o);
-        let back = omixture_from_str(&text).unwrap();
-        assert_eq!(back.pi(), 0.21);
-        for x in [[0.3, 0.3], [0.8, 0.8]] {
-            assert_eq!(back.posterior_match(&x), o.posterior_match(&x));
-        }
+        assert_eq!(a.to_persist_string(), b.to_persist_string());
     }
 
     #[test]
@@ -266,10 +245,15 @@ mod tests {
     #[test]
     fn omixture_persist_rejects_nan_means() {
         let o = OMixture::new(0.33, fitted(8), fitted(9)).unwrap();
-        let good_mean = vec_to_hex(o.m().components()[0].mean());
-        let nan_mean = vec_to_hex(&[f64::NAN, o.m().components()[0].mean()[1]]);
-        let text = o.to_persist_string().replacen(&good_mean, &nan_mean, 1);
-        assert!(OMixture::from_persist_str(&text).is_err());
+        let mean = o.m().components()[0].mean();
+        let hex = |v: &[f64]| v.iter().map(|&x| persist::f64_to_hex(x)).collect::<Vec<_>>();
+        let good = hex(mean).join(" ");
+        let bad = hex(&[f64::NAN, mean[1]]).join(" ");
+        let text = o.to_persist_string().replacen(&good, &bad, 1);
+        assert!(matches!(
+            OMixture::from_persist_str(&text),
+            Err(PersistError::NonFinite { .. })
+        ));
     }
 
     #[test]
@@ -286,11 +270,31 @@ mod tests {
 
     #[test]
     fn corrupt_input_is_rejected() {
-        assert!(gmm_from_str("not a gmm").is_err());
-        assert!(omixture_from_str("serd-omixture-v1\npi zz\n").is_err());
-        let gmm = fitted(5);
-        let mut text = gmm_to_string(&gmm);
+        assert!(Gmm::from_persist_str("not a gmm").is_err());
+        let bad_pi = "serd-odist-v1\nlines 32\nserd-omixture-v1\npi zz\n";
+        assert!(OMixture::from_persist_str(bad_pi).is_err());
+        let mut text = fitted(5).to_persist_string();
         text.truncate(text.len() / 2);
-        assert!(gmm_from_str(&text).is_err());
+        assert!(Gmm::from_persist_str(&text).is_err());
+    }
+
+    #[test]
+    fn oversized_counts_and_bad_pi_are_rejected_before_allocation() {
+        for (from, to) in [
+            ("components 2\n", "components 18446744073709551615\n"),
+            ("components 2\n", "components 3000000000\n"),
+            ("components 2\n", "components 0\n"),
+            ("dim 2\n", "dim 18446744073709551615\n"),
+            ("dim 2\n", "dim 3000000000\n"),
+            ("pi 3fd0000000000000\n", "pi 4000000000000000\n"),
+            ("pi 3fd0000000000000\n", "pi bff0000000000000\n"),
+            ("lines 32\n", "lines 31\n"),
+        ] {
+            let text = FIXED_ODIST.replacen(from, to, 1);
+            assert!(
+                matches!(OMixture::from_persist_str(&text), Err(PersistError::Invalid { .. })),
+                "{to:?} accepted"
+            );
+        }
     }
 }

@@ -48,8 +48,6 @@ pub enum GmmError {
     },
     /// An underlying linear-algebra failure that regularization couldn't fix.
     Linalg(linalg::LinalgError),
-    /// A persisted model file could not be parsed.
-    Parse(String),
 }
 
 impl std::fmt::Display for GmmError {
@@ -63,7 +61,6 @@ impl std::fmt::Display for GmmError {
                 write!(f, "{points} points cannot support {components} components")
             }
             GmmError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
-            GmmError::Parse(msg) => write!(f, "model parse error: {msg}"),
         }
     }
 }

@@ -6,8 +6,7 @@
 //! parameters are exactly the artifact that is safe to share, so this crate
 //! gives every learned component a way to become such an artifact: a plain
 //! text format with full-precision hex floats, a magic/version line per
-//! component, and strict validation on read. No serialization crates — the
-//! format follows the same discipline as `gmm::io`'s `serd-gmm-v1` files.
+//! component, and strict validation on read. No serialization crates.
 //!
 //! # Format
 //!
@@ -317,11 +316,6 @@ impl<'a> Reader<'a> {
             self.peeked = self.lines.next();
         }
         self.peeked
-    }
-
-    /// Consumes one raw line (used to embed foreign line-oriented formats).
-    pub fn raw_line(&mut self) -> Result<&'a str> {
-        self.next_line("a raw line")
     }
 
     /// Consumes the magic line, distinguishing version skew (same component

@@ -281,13 +281,6 @@ impl SerdSynthesizer {
         self.model.epsilon
     }
 
-    /// Serializes the learned `O_real` distribution to text (`gmm::io`
-    /// format). This is exactly the artifact the paper's Figure 2 deems safe
-    /// to share: distribution parameters, never entities.
-    pub fn export_o_real(&self) -> String {
-        gmm::io::omixture_to_string(&self.model.o_real)
-    }
-
     /// The model's own synthesis parameters as a mutable [`SynthesisPlan`].
     pub fn plan(&self) -> SynthesisPlan {
         SynthesisPlan {
@@ -738,16 +731,6 @@ mod tests {
         } else {
             panic!("expected marginals backend");
         }
-    }
-
-    #[test]
-    fn exported_o_real_roundtrips() {
-        let (syn, _) = fit_fast(DatasetKind::Restaurant, 0.02, 11);
-        let text = syn.export_o_real();
-        let back = gmm::io::omixture_from_str(&text).unwrap();
-        assert_eq!(back.pi(), syn.o_real().pi());
-        let x = vec![0.5; syn.o_real().dim()];
-        assert_eq!(back.posterior_match(&x), syn.o_real().posterior_match(&x));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::backend::TabularBackend;
 use crate::synthesis::ColumnSynthesizer;
 use crate::SerdConfig;
+use gmm::io::MAX_PERSISTED_COMPONENTS;
 use gmm::{GmmConfig, OMixture};
 use persist::{Persist, Reader, Writer};
 
@@ -183,9 +184,9 @@ impl Persist for SerdModel {
             return Err(r.invalid("t_sample and jsd_samples must be positive"));
         }
         let gmm_max_components = r.kv_usize("gmm_max_components")?;
-        if gmm_max_components == 0 || gmm_max_components > 256 {
+        if gmm_max_components == 0 || gmm_max_components > MAX_PERSISTED_COMPONENTS {
             return Err(r.invalid(format!(
-                "gmm_max_components {gmm_max_components} outside [1, 256]"
+                "gmm_max_components {gmm_max_components} outside [1, {MAX_PERSISTED_COMPONENTS}]"
             )));
         }
         let gmm_max_iters = r.kv_usize("gmm_max_iters")?;

@@ -309,11 +309,7 @@ impl Persist for ColumnSynthesizer {
         w.child(&self.schema);
         w.kv("bounds", self.bounds.len());
         for &(lo, hi) in &self.bounds {
-            let mut line = String::from("b ");
-            line.push_str(&persist::f64_to_hex(lo));
-            line.push(' ');
-            line.push_str(&persist::f64_to_hex(hi));
-            w.line(&line);
+            w.kv_f64s("b", &[lo, hi]);
         }
         let flags: Vec<String> = self.integral.iter().map(|b| b.to_string()).collect();
         w.kv("integral", flags.join(" "));

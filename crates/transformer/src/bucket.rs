@@ -254,6 +254,10 @@ impl PreparedSynthesis<'_> {
 /// Upper bound on persisted bucket counts.
 const MAX_PERSISTED_BUCKETS: usize = 4096;
 
+/// Upper bound on persisted candidates per synthesis call: each candidate is
+/// one lane of the batched decode, allocated at synthesis time.
+const MAX_PERSISTED_CANDIDATES: usize = 1024;
+
 impl Persist for BucketedSynthesizer {
     // v2: candidate sampling moved to lockstep batched decoding with
     // per-candidate RNG lanes, which changes how the caller's RNG stream is
@@ -296,9 +300,13 @@ impl Persist for BucketedSynthesizer {
         if buckets == 0 || buckets > MAX_PERSISTED_BUCKETS {
             return Err(r.invalid(format!("implausible bucket count {buckets}")));
         }
+        let candidates = r.kv_usize("candidates")?;
+        if candidates > MAX_PERSISTED_CANDIDATES {
+            return Err(r.invalid(format!("implausible candidate count {candidates}")));
+        }
         let cfg = BucketedSynthesizerConfig {
             buckets,
-            candidates: r.kv_usize("candidates")?,
+            candidates,
             // Training-only template; synthesis never calls it. Bucket model
             // architectures are read from their own artifacts below.
             arch: TransformerConfig::tiny,

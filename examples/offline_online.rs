@@ -8,14 +8,15 @@
 //! Offline (inside the data owner's perimeter): fit SERD once and persist
 //! the artifacts that leave the building — the full `serd-model-v1` bundle
 //! (learned distribution parameters, DP transformer + GAN weights, public
-//! corpus slices — never a real row) plus the standalone O-distribution.
+//! corpus slices — never a real row) plus the standalone O-distribution, a
+//! `serd-odist-v1` file written through the same `Persist` grammar.
 //! Online (anywhere, later): reload the model, synthesize, and verify the
 //! output is byte-identical to what the in-memory model produces at the same
-//! seed; label fresh pairs with the reloaded posterior bit-for-bit.
+//! seed; reload the O-distribution with `OMixture::load` and check it labels
+//! fresh pairs with a bit-identical posterior.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serd_repro::gmm;
 use serd_repro::prelude::*;
 use serd_repro::serd::api;
 
@@ -35,8 +36,8 @@ fn main() {
     let model_path = dir.join("model.serd");
     model.save_to(&model_path).expect("write model");
     let synthesizer = SerdSynthesizer::from_model(model);
-    let dist_path = dir.join("o_real.gmm");
-    std::fs::write(&dist_path, synthesizer.export_o_real()).expect("write distribution");
+    let dist_path = dir.join("o_real.odist");
+    synthesizer.o_real().save(&dist_path).expect("write distribution");
     println!("offline phase done ({offline_secs:.1}s):");
     println!("  shipped {}", model_path.display());
     println!("  shipped {}", dist_path.display());
@@ -72,8 +73,7 @@ fn main() {
     println!("artifact-loaded synthesis is byte-identical to the in-memory run");
 
     // The standalone O-distribution labels pairs with the identical posterior.
-    let text = std::fs::read_to_string(&dist_path).expect("read distribution");
-    let o = gmm::io::omixture_from_str(&text).expect("parse distribution");
+    let o = OMixture::load(&dist_path).expect("load distribution");
     let mut agree = 0;
     let total = 200;
     for _ in 0..total {

@@ -53,6 +53,44 @@ fn wrong_magic_and_version_skew_are_distinguished() {
     ));
 }
 
+/// `text` with the value of the first line keyed `key` replaced by `value`.
+fn with_first_value(text: &str, key: &str, value: &str) -> String {
+    let mut found = false;
+    let out = text
+        .lines()
+        .map(|l| {
+            if !found && l.split_whitespace().next() == Some(key) {
+                found = true;
+                format!("{key} {value}\n")
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect();
+    assert!(found, "artifact has no {key:?} line");
+    out
+}
+
+// Counts that size buffers must be bounded at load: an oversized value must
+// error, never abort on a failed allocation or panic on capacity overflow
+// (here or later at synthesis). An out-of-range π must error rather than be
+// clamped into [0, 1].
+#[test]
+fn oversized_counts_and_out_of_range_pi_error() {
+    let text = artifact();
+    for key in ["components", "dim", "candidates"] {
+        for value in [u64::MAX, 3_000_000_000] {
+            let bad = with_first_value(text, key, &value.to_string());
+            assert!(
+                SerdModel::from_persist_str(&bad).is_err(),
+                "{key} {value} accepted"
+            );
+        }
+    }
+    let bad = with_first_value(text, "pi", &format!("{:016x}", 2.0f64.to_bits()));
+    assert!(SerdModel::from_persist_str(&bad).is_err(), "pi 2.0 accepted");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
