@@ -17,6 +17,22 @@ pub fn gelu_scalar(v: f32) -> f32 {
     0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh())
 }
 
+/// Softmax of one row, in place. [`Tensor::softmax_rows`] runs this per row;
+/// the inference path's cached attention runs it on its score rows.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - m).exp();
+        z += *v;
+    }
+    if z > 0.0 {
+        for v in row.iter_mut() {
+            *v /= z;
+        }
+    }
+}
+
 /// Row-wise layer-norm forward.
 ///
 /// Returns `(out, xhat, inv_std)`: autograd keeps the normalized activations

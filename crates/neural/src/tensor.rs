@@ -265,18 +265,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
         for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                z += *v;
-            }
-            if z > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= z;
-                }
-            }
+            crate::funcs::softmax_in_place(out.row_mut(r));
         }
         out
     }

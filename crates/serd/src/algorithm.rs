@@ -510,6 +510,14 @@ impl SerdSynthesizer {
                     stats.accepted as f64 / attempts as f64,
                 );
             }
+            // Share of accepted entities that no rejection check passed:
+            // the retries ran out and the last candidate was taken as-is.
+            if stats.accepted > 0 {
+                obs::gauge(
+                    "forced_accept_share",
+                    stats.forced_accepts as f64 / stats.accepted as f64,
+                );
+            }
         }
         Ok(SynthesizedEr {
             er: ErDataset::new(a, b, matches)?,

@@ -176,17 +176,16 @@ impl ColumnSynthesizer {
             Some(d) if !d.is_empty() => d,
             _ => return v.clone(),
         };
-        let base = Value::Categorical(v.as_str().unwrap_or("").to_string());
+        let base = v.as_str().unwrap_or("");
+        // Both sides are non-null strings, where `column.similarity` is the
+        // column's string kernel (0.0 for kinds that take no strings). Each
+        // value is scored once; `min_by` keeps the first of tied minima and
+        // treats NaN distances as ties.
         let best = domain
             .iter()
-            .min_by(|a, b| {
-                let da = (column.similarity(&base, &Value::Categorical((*a).clone())) - target)
-                    .abs();
-                let db = (column.similarity(&base, &Value::Categorical((*b).clone())) - target)
-                    .abs();
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .cloned()
+            .map(|d| (d, (column.sim.eval_str(base, d).unwrap_or(0.0) - target).abs()))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(d, _)| d.clone())
             .unwrap_or_default();
         Value::Categorical(best)
     }
@@ -503,6 +502,26 @@ mod tests {
         let out = s.synthesize_entity(&e, &[1.0, 0.0, 1.0, 1.0], Side::A, &mut rng);
         // VLDB shares no 3-grams with "SIGMOD Conference" -> sim 0 exactly.
         assert_eq!(out.value(1).as_str(), Some("VLDB"));
+    }
+
+    #[test]
+    fn categorical_ties_and_nan_keep_the_first_minimum() {
+        let s = synthesizer(false);
+        let col = &s.schema().columns()[1];
+        let v = Value::Categorical("abc".into());
+        let pick = |domain: &[&str], target: f64| {
+            let mut s = synthesizer(false);
+            s.domains_a.insert(1, domain.iter().map(|d| d.to_string()).collect());
+            s.synth_categorical(1, &v, target, col, Side::A)
+        };
+        // "xyz" and "uvw" both share no gram with "abc": a tie at distance 0.
+        assert_eq!(pick(&["abcd", "xyz", "uvw"], 0.0), Value::Categorical("xyz".into()));
+        assert_eq!(pick(&["uvw", "xyz", "abcd"], 0.0), Value::Categorical("uvw".into()));
+        // Equal distances on both sides of the target tie as well.
+        assert_eq!(pick(&["xyz", "abc"], 0.5), Value::Categorical("xyz".into()));
+        // NaN distances compare as ties, so the first value wins.
+        assert_eq!(pick(&["xyz", "abc"], f64::NAN), Value::Categorical("xyz".into()));
+        assert_eq!(pick(&["abc", "xyz"], f64::NAN), Value::Categorical("abc".into()));
     }
 
     #[test]

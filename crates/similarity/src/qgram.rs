@@ -95,6 +95,104 @@ pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
     qgram_profile(a, q).jaccard(&qgram_profile(b, q))
 }
 
+/// Bits per packed character: every Unicode scalar value is ≤ U+10FFFF,
+/// which fits in 21 bits.
+const CHAR_BITS: u32 = 21;
+/// Filler for the unused slots of a string shorter than 3 chars. It is
+/// above U+10FFFF, so it can never equal a real char.
+const PAD: u64 = 0x1F_FFFF;
+/// The low 63 bits: a window of three packed chars.
+const WINDOW_MASK: u64 = (1 << (3 * CHAR_BITS)) - 1;
+
+/// The 3-gram multiset of a string as sorted packed `u64` keys: the exact,
+/// allocation-free twin of [`qgram_profile`]`(s, 3)`.
+///
+/// Each gram's three chars are packed 21 bits apiece into one key, so two
+/// keys are equal exactly when their grams are (unlike hashed grams, there
+/// is no collision to allow for). A string shorter than 3 chars yields one
+/// key with its missing slots padded, mirroring the whole-string gram of
+/// [`qgram_profile`]. [`Qgram3Keys::jaccard`] is bit-identical to
+/// [`qgram_jaccard`] with `q = 3`.
+///
+/// ```
+/// use similarity::{qgram_jaccard, Qgram3Keys};
+/// let (a, b) = ("adaptive query", "adaptable queries");
+/// let sim = Qgram3Keys::of(a).jaccard(&Qgram3Keys::of(b));
+/// assert_eq!(sim.to_bits(), qgram_jaccard(a, b, 3).to_bits());
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Qgram3Keys {
+    keys: Vec<u64>,
+}
+
+impl Qgram3Keys {
+    /// The keys of `s`.
+    pub fn of(s: &str) -> Self {
+        let mut k = Qgram3Keys::default();
+        k.fill(s.chars());
+        k
+    }
+
+    /// Replaces the keys with those of the string spelled by `chars`,
+    /// reusing the buffer.
+    pub fn fill(&mut self, chars: impl IntoIterator<Item = char>) {
+        self.keys.clear();
+        let mut window = 0u64;
+        let mut n = 0usize;
+        for c in chars {
+            window = ((window << CHAR_BITS) | c as u64) & WINDOW_MASK;
+            n += 1;
+            if n >= 3 {
+                self.keys.push(window);
+            }
+        }
+        match n {
+            1 => self.keys.push((window << (2 * CHAR_BITS)) | (PAD << CHAR_BITS) | PAD),
+            2 => self.keys.push((window << CHAR_BITS) | PAD),
+            _ => {}
+        }
+        self.keys.sort_unstable();
+    }
+
+    /// Total gram count (multiset size).
+    pub fn total(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Multiset intersection size with `other` (a two-pointer merge).
+    pub fn intersection(&self, other: &Qgram3Keys) -> usize {
+        let (a, b) = (&self.keys, &other.keys);
+        let (mut i, mut j, mut inter) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    inter += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        inter
+    }
+
+    /// Multiset Jaccard similarity with `other`: the formula and edge cases
+    /// of [`QgramProfile::jaccard`], so the result has the same bits.
+    pub fn jaccard(&self, other: &Qgram3Keys) -> f64 {
+        if self.total() == 0 && other.total() == 0 {
+            return 1.0;
+        }
+        let inter = self.intersection(other) as f64;
+        let union = (self.total() + other.total()) as f64 - inter;
+        if union == 0.0 {
+            1.0
+        } else {
+            inter / union
+        }
+    }
+}
+
 /// q-gram overlap coefficient: `|A ∩ B| / min(|A|, |B|)`.
 pub fn qgram_overlap(a: &str, b: &str, q: usize) -> f64 {
     let pa = qgram_profile(a, q);
@@ -236,6 +334,26 @@ mod tests {
         let p = qgram_profile("abc", 0);
         assert_eq!(p.total(), 3);
         assert_eq!(p.distinct(), 3);
+    }
+
+    #[test]
+    fn packed_short_keys_never_equal_full_grams() {
+        // "ab" is one padded key; it must not match a real 3-gram that
+        // starts with the same chars, nor the 1-char key of "a".
+        assert_eq!(Qgram3Keys::of("ab").intersection(&Qgram3Keys::of("abc")), 0);
+        assert_eq!(Qgram3Keys::of("a").intersection(&Qgram3Keys::of("ab")), 0);
+        // Multiset counts: "aaaa" has "aaa" twice, "aaa" once.
+        assert_eq!(Qgram3Keys::of("aaaa").intersection(&Qgram3Keys::of("aaa")), 1);
+        assert_eq!(Qgram3Keys::of("aaaaa").intersection(&Qgram3Keys::of("aaaa")), 2);
+    }
+
+    #[test]
+    fn packed_fill_reuses_and_replaces() {
+        let mut k = Qgram3Keys::of("a long first string");
+        k.fill("xyz".chars());
+        assert_eq!(k, Qgram3Keys::of("xyz"));
+        k.fill("".chars());
+        assert_eq!(k.total(), 0);
     }
 
     #[test]

@@ -7,6 +7,18 @@ fn small_string() -> impl Strategy<Value = String> {
     "[a-z0-9 ]{0,24}"
 }
 
+/// Chars that stress the packed 3-gram keys: ASCII, multi-byte, and astral
+/// chars up to U+10FFFF (the largest value a 21-bit slot must hold).
+const KEY_ALPHABET: [char; 9] =
+    ['a', 'b', ' ', 'é', '日', '\u{1F600}', '\u{10FFFD}', '\u{10FFFE}', '\u{10FFFF}'];
+
+/// Strings over [`KEY_ALPHABET`]: empty, shorter than a gram, and long
+/// enough to repeat grams.
+fn key_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..KEY_ALPHABET.len(), 0..12)
+        .prop_map(|ix| ix.into_iter().map(|i| KEY_ALPHABET[i]).collect())
+}
+
 proptest! {
     #[test]
     fn qgram_jaccard_in_unit_interval(a in small_string(), b in small_string()) {
@@ -62,5 +74,12 @@ proptest! {
     fn monge_elkan_bounds(a in small_string(), b in small_string()) {
         let s = monge_elkan(&a, &b);
         prop_assert!((0.0..=1.0).contains(&s));
+    }
+
+    #[test]
+    fn packed_3gram_keys_match_qgram_jaccard_bitwise(a in key_string(), b in key_string()) {
+        let packed = Qgram3Keys::of(&a).jaccard(&Qgram3Keys::of(&b));
+        prop_assert_eq!(packed.to_bits(), qgram_jaccard(&a, &b, 3).to_bits(), "{:?} vs {:?}", a, b);
+        prop_assert_eq!(Qgram3Keys::of(&a).total(), qgram_profile(&a, 3).total());
     }
 }

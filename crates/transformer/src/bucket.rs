@@ -2,7 +2,7 @@
 //! candidate-reranking inference (paper Section VI, Algorithm 1, Figure 4).
 
 use crate::decode::EncodedSource;
-use crate::guided::{perturb_toward, TokenPool};
+use crate::guided::{perturb_toward, perturb_toward_keys, TokenPool};
 use crate::model::{Seq2SeqTransformer, TransformerConfig};
 use crate::vocab::CharVocab;
 use neural::layers::Module;
@@ -10,7 +10,7 @@ use neural::optim::DpSgd;
 use persist::{Persist, Reader, Writer};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use similarity::qgram_jaccard;
+use similarity::{qgram_jaccard, Qgram3Keys};
 
 /// Configuration for training the bucketed synthesizer.
 #[derive(Debug, Clone)]
@@ -155,8 +155,9 @@ impl BucketedSynthesizer {
 
     /// Precomputes everything about `(s, sim)` that candidate sampling
     /// reuses: bucket-model selection, source encoding, encoder memory
-    /// (including per-layer cross-attention projections), and the source
-    /// token set for the plausibility gate.
+    /// (including per-layer cross-attention projections), the source token
+    /// set for the plausibility gate, and the source's 3-gram keys for
+    /// candidate reranking and repair.
     pub fn prepare<'a>(&'a self, s: &str, sim: f64) -> PreparedSynthesis<'a> {
         let target = sim.clamp(0.0, 1.0);
         let exact = target >= 0.999;
@@ -172,7 +173,8 @@ impl BucketedSynthesizer {
                 }
             })
         };
-        PreparedSynthesis { syn: self, source: s.to_string(), target, exact, model }
+        let keys = if exact { Qgram3Keys::default() } else { Qgram3Keys::of(s) };
+        PreparedSynthesis { syn: self, source: s.to_string(), keys, target, exact, model }
     }
 }
 
@@ -190,6 +192,8 @@ struct PreparedModel<'a> {
 pub struct PreparedSynthesis<'a> {
     syn: &'a BucketedSynthesizer,
     source: String,
+    /// 3-gram keys of `source` (empty when `exact`: nothing is scored).
+    keys: Qgram3Keys,
     target: f64,
     exact: bool,
     model: Option<PreparedModel<'a>>,
@@ -208,9 +212,12 @@ impl PreparedSynthesis<'_> {
         let sim = self.target;
         let mut best: Option<(String, f64)> = None;
         if let Some(pm) = &self.model {
-            let candidates =
+            let candidates = {
+                let _span = obs::span("text.decode");
                 pm.model
-                    .generate_batch(&pm.enc, syn.cfg.candidates, syn.cfg.max_out, syn.cfg.temperature, rng);
+                    .generate_batch(&pm.enc, syn.cfg.candidates, syn.cfg.max_out, syn.cfg.temperature, rng)
+            };
+            let mut out_keys = Qgram3Keys::default();
             for ids in &candidates {
                 let out = syn.vocab.decode(ids);
                 if out.is_empty() {
@@ -232,7 +239,8 @@ impl PreparedSynthesis<'_> {
                 if !plausible {
                     continue;
                 }
-                let achieved = qgram_jaccard(s, &out, 3);
+                out_keys.fill(out.chars());
+                let achieved = self.keys.jaccard(&out_keys);
                 if best
                     .as_ref()
                     .map_or(true, |(_, b)| (achieved - sim).abs() < (b - sim).abs())
@@ -244,7 +252,10 @@ impl PreparedSynthesis<'_> {
         match best {
             Some((out, achieved)) if (achieved - sim).abs() <= syn.cfg.repair_tol => out,
             _ => {
-                let (out, _) = perturb_toward(s, sim, &syn.pool, 0.03, 300, rng);
+                let _span = obs::span("text.repair");
+                let (out, _, rounds) =
+                    perturb_toward_keys(s, &self.keys, sim, &syn.pool, 0.03, 300, rng);
+                obs::counter("text.repair_rounds", rounds as u64);
                 out
             }
         }

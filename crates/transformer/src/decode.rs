@@ -28,7 +28,7 @@
 
 use crate::model::{DecoderLayer, MultiHeadAttention, Seq2SeqTransformer};
 use linalg::RowArena;
-use neural::funcs::gelu_scalar;
+use neural::funcs::{gelu_scalar, softmax_in_place};
 use neural::Tensor;
 
 /// Per-source encoder state, computed once and shared by every candidate
@@ -228,13 +228,12 @@ fn step_layer(
     let k_new = attn.wk.forward_tensor(&n);
     let v_new = attn.wv.forward_tensor(&n);
     let mut heads_out = Tensor::zeros(m, d);
+    let mut scores = Vec::new();
     for (r, &(lane, _)) in feeds.iter().enumerate() {
         let lane = &mut lanes[lane];
         lane.k[li].push_row(k_new.row(r));
         lane.v[li].push_row(v_new.row(r));
-        let qrow = Tensor::from_vec(1, d, q.row(r).to_vec());
-        let a = attn_row(attn, &qrow, &lane.k[li], &lane.v[li]);
-        heads_out.row_mut(r).copy_from_slice(a.row(0));
+        attn_row(attn, q.row(r), &lane.k[li], &lane.v[li], &mut scores, heads_out.row_mut(r));
     }
     let a = attn.wo.forward_tensor(&heads_out);
     let x = x.add(&a);
@@ -264,34 +263,49 @@ fn step_layer(
     x.add(&f)
 }
 
-/// Single-row multi-head self-attention of `q` against a lane's KV cache.
+/// Single-row multi-head self-attention of `q` against a lane's KV cache,
+/// written into `out` (a zeroed `d_model` row); `scores` is scratch.
+///
+/// This is `softmax(q_h · K_hᵀ · scale) · V_h` per head with the float ops
+/// of the tensor path (`matmul` → `scale` → `softmax_rows` → `matmul`, then
+/// `concat_cols`) in the same order: each score accumulates over the head's
+/// columns from `0.0`, skipping zero query entries as the matmul kernel
+/// does; the softmax is `softmax_rows`' own row kernel; the weighted sum
+/// accumulates over cache rows, skipping zero weights. It reads the cache
+/// rows in place instead of slicing and transposing per head.
 fn attn_row(
     attn: &MultiHeadAttention,
-    q: &Tensor,
+    q: &[f32],
     kc: &RowArena<f32>,
     vc: &RowArena<f32>,
-) -> Tensor {
+    scores: &mut Vec<f32>,
+    out: &mut [f32],
+) {
     let dh = attn.d_head;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut heads = Vec::with_capacity(attn.n_heads);
     for h in 0..attn.n_heads {
-        let qs = q.slice_cols(h * dh, dh);
-        let ks = head_slice(kc, h * dh, dh);
-        let vs = head_slice(vc, h * dh, dh);
-        let scores = qs.matmul(&ks.transpose()).scale(scale);
-        let attnw = scores.softmax_rows();
-        heads.push(attnw.matmul(&vs));
+        let cols = h * dh..(h + 1) * dh;
+        let qh = &q[cols.clone()];
+        scores.clear();
+        scores.extend((0..kc.rows()).map(|t| {
+            let kh = &kc.row(t)[cols.clone()];
+            let mut acc = 0.0f32;
+            for (&a, &k) in qh.iter().zip(kh) {
+                if a != 0.0 {
+                    acc += a * k;
+                }
+            }
+            acc * scale
+        }));
+        softmax_in_place(scores);
+        let dst = &mut out[cols.clone()];
+        for (t, &w) in scores.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            for (d, &v) in dst.iter_mut().zip(&vc.row(t)[cols.clone()]) {
+                *d += w * v;
+            }
+        }
     }
-    let refs: Vec<&Tensor> = heads.iter().collect();
-    Tensor::concat_cols(&refs)
-}
-
-/// Columns `[start, start+width)` of a cache, as a `(rows, width)` tensor —
-/// the values `Tensor::slice_cols` would produce on the full cache.
-fn head_slice(a: &RowArena<f32>, start: usize, width: usize) -> Tensor {
-    let mut out = Tensor::zeros(a.rows(), width);
-    for r in 0..a.rows() {
-        out.row_mut(r).copy_from_slice(&a.row(r)[start..start + width]);
-    }
-    out
 }

@@ -6,9 +6,11 @@
 //!    natural similarities; some buckets (e.g. `[0.6, 0.7)`) can be sparse.
 //!    [`perturb_toward`] manufactures a partner at any target similarity, so
 //!    every bucket model has training data.
-//! 2. **Candidate repair.** A small CPU-trained transformer sometimes misses
-//!    the target similarity; the bucketed synthesizer repairs the best
-//!    candidate with a few guided edits instead of rejecting outright.
+//! 2. **Repair fallback.** When no plausible model candidate lands within
+//!    `repair_tol` of the target similarity, the bucketed synthesizer
+//!    discards the candidates and runs [`perturb_toward`] from the *source*
+//!    string instead. At `SerdConfig::fast()` this fallback decides almost
+//!    every text value (DESIGN.md §3 item 7).
 //!
 //! The perturbation alternates token-level edits — dropping tokens of `s`,
 //! appending/substituting tokens drawn from the corpus vocabulary — greedily
@@ -21,7 +23,7 @@
 use persist::{Persist, Reader, Writer};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use similarity::{qgram_jaccard, tokenize};
+use similarity::{tokenize, Qgram3Keys};
 use std::collections::BTreeSet;
 
 /// A pool of domain tokens harvested from a background corpus.
@@ -151,26 +153,54 @@ pub fn perturb_toward<R: Rng + ?Sized>(
     max_rounds: usize,
     rng: &mut R,
 ) -> (String, f64) {
+    let (out, sim, _) =
+        perturb_toward_keys(s, &Qgram3Keys::of(s), target, pool, tol, max_rounds, rng);
+    (out, sim)
+}
+
+/// [`perturb_toward`] against the precomputed 3-gram keys of `s`, also
+/// returning the number of search rounds run.
+///
+/// Tokens are borrowed from `s` and the pool, and each proposal is scored by
+/// streaming its space-joined chars into one reused key buffer, so a round
+/// allocates nothing but its token vectors. Scores are bit-identical to
+/// `qgram_jaccard(s, &tokens.join(" "), 3)`, so the RNG stream and the
+/// result match that formulation exactly.
+pub(crate) fn perturb_toward_keys<R: Rng + ?Sized>(
+    s: &str,
+    src: &Qgram3Keys,
+    target: f64,
+    pool: &TokenPool,
+    tol: f64,
+    max_rounds: usize,
+    rng: &mut R,
+) -> (String, f64, usize) {
     let target = target.clamp(0.0, 1.0);
     // Case- and punctuation-preserving tokens of the source string.
-    let mut current: Vec<String> = s.split_whitespace().map(str::to_string).collect();
+    let mut current: Vec<&str> = s.split_whitespace().collect();
     if current.is_empty() {
-        current.push(pool.sample(rng).to_string());
+        current.push(pool.sample(rng));
     }
-    let score = |tokens: &[String]| qgram_jaccard(s, &tokens.join(" "), 3);
+    let mut keys = Qgram3Keys::default();
+    let mut score = |tokens: &[&str]| {
+        keys.fill(joined_chars(tokens));
+        src.jaccard(&keys)
+    };
     let mut best_sim = score(&current);
 
     // target == 1 means an exact copy is wanted.
     if target >= 1.0 - f64::EPSILON {
-        return (s.to_string(), 1.0);
+        return (s.to_string(), 1.0, 0);
     }
 
     let width = 8;
+    let mut rounds = 0;
     for _ in 0..max_rounds {
         if (best_sim - target).abs() <= tol {
             break;
         }
-        let mut best_round: Option<(Vec<String>, f64)> = None;
+        rounds += 1;
+        let mut best_round: Option<(Vec<&str>, f64)> = None;
         for _ in 0..width {
             let mut cand = current.clone();
             let need_lower = best_sim > target;
@@ -183,17 +213,17 @@ pub fn perturb_toward<R: Rng + ?Sized>(
                         cand.remove(i);
                     } else {
                         let i = rng.gen_range(0..=cand.len());
-                        cand.insert(i, pool.sample(rng).to_string());
+                        cand.insert(i, pool.sample(rng));
                     }
                 }
                 // Replace a token with a corpus token.
                 1 => {
                     let i = rng.gen_range(0..cand.len());
-                    cand[i] = pool.sample(rng).to_string();
+                    cand[i] = pool.sample(rng);
                 }
                 // Append a corpus token (lowers sim when already similar).
                 _ => {
-                    cand.push(pool.sample(rng).to_string());
+                    cand.push(pool.sample(rng));
                 }
             }
             if cand.is_empty() {
@@ -215,7 +245,15 @@ pub fn perturb_toward<R: Rng + ?Sized>(
             }
         }
     }
-    (current.join(" "), best_sim)
+    (current.join(" "), best_sim, rounds)
+}
+
+/// The chars of `tokens.join(" ")`, without building the string.
+fn joined_chars<'t>(tokens: &'t [&str]) -> impl Iterator<Item = char> + 't {
+    tokens
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| (i > 0).then_some(' ').into_iter().chain(t.chars()))
 }
 
 #[cfg(test)]
@@ -322,6 +360,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let (out, _) = perturb_toward("", 0.5, &pool(), 0.05, 50, &mut rng);
         assert!(!out.is_empty());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_token_score_matches_joined_qgram_jaccard(
+            s in "[a é日\u{10FFFF}]{0,10}",
+            picks in proptest::collection::vec(0usize..6, 1..6),
+        ) {
+            // Tokens mix pieces of `s` with astral, multi-byte and 1–2 char
+            // tokens, as the repair search does.
+            let extra = ["ab", "日", "\u{10FFFE}\u{10FFFF}", "aaa", "é", "x"];
+            let mut tokens: Vec<&str> = s.split_whitespace().collect();
+            tokens.extend(picks.iter().map(|&i| extra[i]));
+            let mut keys = Qgram3Keys::default();
+            keys.fill(joined_chars(&tokens));
+            let streamed = Qgram3Keys::of(&s).jaccard(&keys);
+            let reference = similarity::qgram_jaccard(&s, &tokens.join(" "), 3);
+            proptest::prop_assert_eq!(streamed.to_bits(), reference.to_bits(), "{:?} {:?}", s, tokens);
+        }
     }
 
     #[test]

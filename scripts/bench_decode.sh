@@ -96,7 +96,7 @@ END {
     for (i = 0; i < n; i++) {
         if (index(id[i], "serd_synthesize") == 0 || median[i] <= 0) continue
         if (!first) printf ",\n"
-        printf "    {\"id\":\"%s\",\"median_ns\":%.0f,\"baseline_serial_ns\":%d,\"speedup_vs_baseline\":%.2f}", \
+        printf "    {\"id\":\"%s\",\"median_ns\":%.0f,\"baseline_serial_ns\":%.0f,\"speedup_vs_baseline\":%.2f}", \
             id[i], median[i], base_ns, base_ns / median[i]
         first = 0
     }
