@@ -1,5 +1,6 @@
 //! Decoding-path benchmarks: full O(T²) re-decode vs KV-cached incremental
-//! steps vs lockstep batched lanes, per prefix length (DESIGN.md §11).
+//! steps vs lockstep batched lanes, per prefix length (DESIGN.md §11), plus
+//! the guided-repair search that S2 falls back to (DESIGN.md §10.4).
 //!
 //! Ids carry the step count as a trailing `/len<L>` segment and the lane
 //! count in the mode segment (`batch8` = 8 lanes), so `scripts/bench_decode.sh`
@@ -9,6 +10,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serd_repro::transformer::guided::{perturb_toward, TokenPool};
 use serd_repro::transformer::model::frame;
 use serd_repro::transformer::vocab::BOS;
 use serd_repro::transformer::{BatchDecoder, Seq2SeqTransformer, TransformerConfig};
@@ -77,5 +79,35 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_decode);
+/// Guided repair from a 220-char title: the S2 fallback that decides most
+/// text values at `SerdConfig::fast()` (DESIGN.md §3 item 7). Each
+/// iteration runs the same seeded search, so the work is fixed.
+fn bench_repair(c: &mut Criterion) {
+    let mut g = c.benchmark_group("repair");
+    g.sample_size(10);
+    g.measurement_time(Duration::from_secs(1));
+    g.warm_up_time(Duration::from_millis(300));
+    let pool = TokenPool::from_corpus([
+        "adaptive query processing for data streams",
+        "efficient join algorithms in parallel databases",
+        "mining frequent patterns without candidate generation",
+        "temporal middleware evaluation strategies",
+        "incremental view maintenance in distributed systems",
+    ]);
+    let src = "An efficient and scalable framework for adaptive query processing over \
+               distributed data streams with temporal middleware, incremental view \
+               maintenance, cost-based join reordering, and approximate aggregation in the cloud";
+    let len = src.chars().count();
+    // A low target: the seeded search runs 68 rounds of 8 proposals before
+    // it lands within 0.03 of it.
+    g.bench_function(format!("perturb_toward/len{len}"), |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(7);
+            black_box(perturb_toward(black_box(src), 0.05, &pool, 0.03, 300, &mut rng))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_decode, bench_repair);
 criterion_main!(benches);

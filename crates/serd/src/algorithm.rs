@@ -377,43 +377,46 @@ impl SerdSynthesizer {
             // Everything about (e, x, side) that doesn't consume randomness
             // — bucket-model selection, source encoding, encoder memory for
             // text columns — is prepared once and shared by every attempt.
-            let prepared = model.columns.prepare_entity(&e, &x, target_side);
+            let prepared = {
+                let _span = obs::span("s2.prepare_entity");
+                model.columns.prepare_entity(&e, &x, target_side)
+            };
             let mut chosen: Option<(Entity, RecordProfile, Vec<Vec<f64>>)> = None;
             for _attempt in 0..online.max_retries {
                 let candidate = prepared.synthesize(rng);
 
-                if online.reject_by_discriminator
-                    && model.backend.plausibility(&candidate) < online.beta
-                {
-                    stats.rejected_discriminator += 1;
-                    continue;
+                if online.reject_by_discriminator {
+                    let _span = obs::span("s2.discriminator");
+                    if model.backend.plausibility(&candidate) < online.beta {
+                        stats.rejected_discriminator += 1;
+                        continue;
+                    }
                 }
 
                 // ΔX_syn: candidate vs (a sample of) the table e lives in.
                 // The candidate is profiled once, here, and the profile is
                 // reused across every ΔX_syn comparison (and kept if the
                 // candidate is accepted).
-                let cand_prof = profiler.profile_entity(&candidate);
-                let delta = delta_vectors(
+                let (cand_prof, delta) = profile_and_delta(
                     &candidate,
-                    &cand_prof,
+                    &mut profiler,
                     source_table,
                     source_profs,
-                    &profiler,
                     online.t_sample,
                     rng,
                 );
-                if online.reject_by_distribution
-                    && osyn.would_reject(
+                if online.reject_by_distribution {
+                    let _span = obs::span("s2.would_reject");
+                    if osyn.would_reject(
                         &delta,
                         &model.o_real,
                         online.alpha,
                         online.jsd_samples,
                         rng,
-                    )
-                {
-                    stats.rejected_distribution += 1;
-                    continue;
+                    ) {
+                        stats.rejected_distribution += 1;
+                        continue;
+                    }
                 }
                 chosen = Some((candidate, cand_prof, delta));
                 break;
@@ -424,13 +427,11 @@ impl SerdSynthesizer {
                     // Every retry was rejected (or retries are disabled):
                     // synthesize one last candidate and accept it as-is.
                     let candidate = prepared.synthesize(rng);
-                    let cand_prof = profiler.profile_entity(&candidate);
-                    let delta = delta_vectors(
+                    let (cand_prof, delta) = profile_and_delta(
                         &candidate,
-                        &cand_prof,
+                        &mut profiler,
                         source_table,
                         source_profs,
-                        &profiler,
                         online.t_sample,
                         rng,
                     );
@@ -456,7 +457,10 @@ impl SerdSynthesizer {
                 matches.push((ai, bi));
                 stats.s2_matches += 1;
             }
-            osyn.commit(&delta, &model.o_real, &online.gmm, online.jsd_samples, rng)?;
+            {
+                let _span = obs::span("osyn.commit");
+                osyn.commit(&delta, &model.o_real, &online.gmm, online.jsd_samples, rng)?;
+            }
             // The committed JSD(O_syn, O_real) trajectory (Eq. 10 left side).
             if obs::enabled() && osyn.jsd_current().is_finite() {
                 obs::series("rejection.jsd", osyn.jsd_current());
@@ -547,44 +551,41 @@ impl SerdSynthesizer {
     }
 }
 
-/// Similarity vectors between `candidate` and up to `t` random entities of
-/// `table` (paper Section V Remark 1). `table_profs` holds the table rows'
-/// cached profiles (index-aligned) and `cand_prof` the candidate's; every
-/// comparison goes through the profile kernels — score-identical to
-/// `er_core::pair_similarity` on the raw entities.
-fn delta_vectors<R: Rng + ?Sized>(
+/// Profiles `candidate` and returns the profile with ΔX_syn: the similarity
+/// vectors between `candidate` and up to `t` random entities of `table`
+/// (paper Section V Remark 1). `table_profs` holds the table rows' cached
+/// profiles (index-aligned); every comparison goes through the profile
+/// kernels — score-identical to `er_core::pair_similarity` on the raw
+/// entities.
+fn profile_and_delta<R: Rng + ?Sized>(
     candidate: &Entity,
-    cand_prof: &RecordProfile,
+    profiler: &mut IncrementalProfiler,
     table: &Relation,
     table_profs: &[RecordProfile],
-    profiler: &IncrementalProfiler,
     t: usize,
     rng: &mut R,
-) -> Vec<Vec<f64>> {
-    if table.is_empty() {
-        return Vec::new();
-    }
+) -> (RecordProfile, Vec<Vec<f64>>) {
+    let _span = obs::span("s2.delta_vectors");
+    let cand_prof = profiler.profile_entity(candidate);
+    let profiler = &*profiler;
     let n = table.len();
     let take = t.min(n);
-    let mut out = Vec::with_capacity(take);
+    let mut delta = Vec::with_capacity(take);
     let schema = table.schema();
+    let mut compare = |i: usize, e: &Entity| {
+        delta.push(profiler.pair_similarity(schema, e, &table_profs[i], candidate, &cand_prof));
+    };
     if take == n {
         for (i, e) in table.iter() {
-            out.push(profiler.pair_similarity(schema, e, &table_profs[i], candidate, cand_prof));
+            compare(i, e);
         }
     } else {
         for _ in 0..take {
             let i = rng.gen_range(0..n);
-            out.push(profiler.pair_similarity(
-                schema,
-                table.entity(i),
-                &table_profs[i],
-                candidate,
-                cand_prof,
-            ));
+            compare(i, table.entity(i));
         }
     }
-    out
+    (cand_prof, delta)
 }
 
 #[cfg(test)]

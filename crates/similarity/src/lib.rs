@@ -37,7 +37,10 @@ pub use profile::{
     prof_qgram_dice, prof_qgram_jaccard, prof_qgram_overlap, prof_token_dice, prof_token_jaccard,
     InternedIdf, ProfileSpec, RawProfile, SimContext, StringProfile,
 };
-pub use qgram::{qgram_dice, qgram_jaccard, qgram_overlap, qgram_profile, Qgram3Keys, QgramProfile};
+pub use qgram::{
+    qgram_dice, qgram_jaccard, qgram_overlap, qgram_profile, Qgram3Keys, Qgram3Prefix, Qgram3Splicer,
+    QgramProfile,
+};
 pub use token::{for_each_token, monge_elkan, token_dice, token_jaccard, tokenize};
 
 /// The similarity-function family a column is configured with.

@@ -140,7 +140,7 @@ impl Qgram3Keys {
         let mut window = 0u64;
         let mut n = 0usize;
         for c in chars {
-            window = ((window << CHAR_BITS) | c as u64) & WINDOW_MASK;
+            window = shift_in(window, c);
             n += 1;
             if n >= 3 {
                 self.keys.push(window);
@@ -157,6 +157,13 @@ impl Qgram3Keys {
     /// Total gram count (multiset size).
     pub fn total(&self) -> usize {
         self.keys.len()
+    }
+
+    /// The position of `key`'s first copy (or where it would go) and its
+    /// number of copies.
+    fn find(&self, key: u64) -> (usize, usize) {
+        let at = self.keys.partition_point(|&k| k < key);
+        (at, self.keys[at..].iter().take_while(|&&k| k == key).count())
     }
 
     /// Multiset intersection size with `other` (a two-pointer merge).
@@ -180,16 +187,219 @@ impl Qgram3Keys {
     /// Multiset Jaccard similarity with `other`: the formula and edge cases
     /// of [`QgramProfile::jaccard`], so the result has the same bits.
     pub fn jaccard(&self, other: &Qgram3Keys) -> f64 {
-        if self.total() == 0 && other.total() == 0 {
-            return 1.0;
+        jaccard_of(self.total(), other.total(), self.intersection(other))
+    }
+}
+
+/// Appends `c` to a packed window, dropping the window's oldest char.
+fn shift_in(window: u64, c: char) -> u64 {
+    ((window << CHAR_BITS) | c as u64) & WINDOW_MASK
+}
+
+/// The multiset Jaccard of [`QgramProfile::jaccard`] from the two multiset
+/// sizes and their intersection size.
+fn jaccard_of(a_total: usize, b_total: usize, inter: usize) -> f64 {
+    if a_total == 0 && b_total == 0 {
+        return 1.0;
+    }
+    let inter = inter as f64;
+    let union = (a_total + b_total) as f64 - inter;
+    if union == 0.0 {
+        1.0
+    } else {
+        inter / union
+    }
+}
+
+/// Scores single-splice edits of a current string by their 3-gram Jaccard
+/// against a fixed source, without re-gramming the edited string.
+///
+/// Replacing `removed` chars at char position `at` with some inserted chars
+/// changes only the grams whose window overlaps the splice: those starting
+/// in `[at−2, at+removed)` of the current string go, and those starting in
+/// `[at−2, at+inserted)` of the edited string come. With `Δ_g` the net
+/// change of gram `g`'s count, the edit's intersection with the source is
+/// the current one plus `Σ_g min(c_cur(g) + Δ_g, c_src(g)) − min(c_cur(g),
+/// c_src(g))`, and its total is the current total plus `Σ_g Δ_g`. These are
+/// the integers a full re-gram counts, so [`Qgram3Splicer::splice_jaccard`]
+/// has the bits of `qgram_jaccard(source, edited, 3)`. A string shorter than
+/// 3 chars has one padded whole-string key instead of windows, so an edit
+/// from or to such a string is re-grammed in full.
+///
+/// ```
+/// use similarity::{qgram_jaccard, Qgram3Keys, Qgram3Splicer};
+/// let src = Qgram3Keys::of("adaptive query");
+/// let mut s = Qgram3Splicer::new(&src);
+/// s.set("adaptive queries".chars());
+/// // Replace "ies" (chars 13..16) with "y".
+/// let sim = s.splice_jaccard(13, 3, "y".chars());
+/// assert_eq!(sim.to_bits(), qgram_jaccard("adaptive query", "adaptive query", 3).to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Qgram3Splicer<'s> {
+    src: &'s Qgram3Keys,
+    /// The current string's chars, keys, and intersection with `src`.
+    chars: Vec<char>,
+    keys: Qgram3Keys,
+    inter: usize,
+    /// Scratch: the edited chars around a splice.
+    near: Vec<char>,
+    /// Scratch: the keys a splice removes (`-1`) and adds (`+1`).
+    delta: Vec<(u64, isize)>,
+    /// Scratch: the edited string's keys when it is re-grammed in full.
+    full: Qgram3Keys,
+}
+
+impl<'s> Qgram3Splicer<'s> {
+    /// A splicer against `src` whose current string is empty.
+    pub fn new(src: &'s Qgram3Keys) -> Self {
+        Qgram3Splicer {
+            src,
+            chars: Vec::new(),
+            keys: Qgram3Keys::default(),
+            inter: 0,
+            near: Vec::new(),
+            delta: Vec::new(),
+            full: Qgram3Keys::default(),
         }
-        let inter = self.intersection(other) as f64;
-        let union = (self.total() + other.total()) as f64 - inter;
-        if union == 0.0 {
-            1.0
-        } else {
-            inter / union
+    }
+
+    /// Makes the string spelled by `chars` the current one.
+    pub fn set(&mut self, chars: impl IntoIterator<Item = char>) {
+        self.chars.clear();
+        self.chars.extend(chars);
+        self.keys.fill(self.chars.iter().copied());
+        self.inter = self.src.intersection(&self.keys);
+    }
+
+    /// Length of the current string in chars.
+    pub fn chars(&self) -> usize {
+        self.chars.len()
+    }
+
+    /// 3-gram Jaccard of the source and the current string.
+    pub fn jaccard(&self) -> f64 {
+        jaccard_of(self.src.total(), self.keys.total(), self.inter)
+    }
+
+    /// 3-gram Jaccard of the source and the current string with the
+    /// `removed` chars at char position `at` replaced by `inserted`. The
+    /// current string is unchanged.
+    ///
+    /// # Panics
+    /// If `at + removed` exceeds the current length.
+    pub fn splice_jaccard(
+        &mut self,
+        at: usize,
+        removed: usize,
+        inserted: impl IntoIterator<Item = char>,
+    ) -> f64 {
+        let n = self.chars.len();
+        assert!(at + removed <= n, "splice {at}+{removed} past length {n}");
+        // The edited string is chars[..lo] + near + chars[hi..], where near
+        // holds every char of a changed window.
+        let lo = at.saturating_sub(2);
+        let hi = (at + removed + 2).min(n);
+        self.near.clear();
+        self.near.extend_from_slice(&self.chars[lo..at]);
+        self.near.extend(inserted);
+        let added = self.near.len() - (at - lo);
+        self.near.extend_from_slice(&self.chars[at + removed..hi]);
+        if n < 3 || n - removed + added < 3 {
+            let edited = self.chars[..lo].iter().chain(&self.near).chain(&self.chars[hi..]);
+            self.full.fill(edited.copied());
+            return self.src.jaccard(&self.full);
         }
+
+        self.delta.clear();
+        let windows = |chars: &[char], sign: isize, delta: &mut Vec<(u64, isize)>| {
+            delta.extend(
+                chars
+                    .windows(3)
+                    .map(|w| (w.iter().fold(0, |k, &c| shift_in(k, c)), sign)),
+            );
+        };
+        windows(&self.chars[lo..hi], -1, &mut self.delta);
+        windows(&self.near, 1, &mut self.delta);
+        self.delta.sort_unstable();
+
+        let mut inter = self.inter;
+        let mut total = self.keys.total();
+        for group in self.delta.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let change: isize = group.iter().map(|&(_, s)| s).sum();
+            if change == 0 {
+                continue;
+            }
+            total = total.checked_add_signed(change).expect("removed grams are present");
+            let (_, in_src) = self.src.find(key);
+            if in_src == 0 {
+                continue;
+            }
+            let (_, cur) = self.keys.find(key);
+            let edited = cur.checked_add_signed(change).expect("removed grams are present");
+            inter = inter + edited.min(in_src) - cur.min(in_src);
+        }
+        jaccard_of(self.src.total(), total, inter)
+    }
+}
+
+/// The 3-gram overlap with a fixed source of a string that grows one char
+/// at a time, and an upper bound on the Jaccard any extension can reach.
+///
+/// Once the string has 3 chars, every gram it has stays a gram of every
+/// extension, and each further char adds exactly one gram. So with `i`
+/// matched grams out of the string's `p` and the source's `S`, an extension
+/// by at most `r` chars matches at most `i + x` grams, `x = min(r, S − i)`,
+/// against a union of at least `S + p − i`: its Jaccard is at most
+/// `(i + x) / (S + p − i)` (see [`Qgram3Prefix::jaccard_bound`]).
+#[derive(Debug, Clone)]
+pub struct Qgram3Prefix<'s> {
+    src: &'s Qgram3Keys,
+    window: u64,
+    chars: usize,
+    /// Matched grams so far.
+    inter: usize,
+    /// Per run of equal source keys, indexed by the run's first position:
+    /// how many of its copies are matched.
+    used: Vec<usize>,
+}
+
+impl<'s> Qgram3Prefix<'s> {
+    /// The empty string's overlap with `src`.
+    pub fn new(src: &'s Qgram3Keys) -> Self {
+        Qgram3Prefix { src, window: 0, chars: 0, inter: 0, used: vec![0; src.total()] }
+    }
+
+    /// Appends one char.
+    pub fn push(&mut self, c: char) {
+        self.window = shift_in(self.window, c);
+        self.chars += 1;
+        if self.chars < 3 {
+            return;
+        }
+        let (at, copies) = self.src.find(self.window);
+        if copies > 0 && self.used[at] < copies {
+            self.used[at] += 1;
+            self.inter += 1;
+        }
+    }
+
+    /// An upper bound on the 3-gram Jaccard with the source of this string
+    /// extended by at most `more` chars; `None` while it is shorter than 3
+    /// chars (its one padded key is not a gram of longer extensions).
+    ///
+    /// The bound is the f64 division of two integers whose exact quotient
+    /// is at least the exact Jaccard of every such extension. Rounding is
+    /// monotone, so it is also at least every extension's
+    /// [`Qgram3Keys::jaccard`].
+    pub fn jaccard_bound(&self, more: usize) -> Option<f64> {
+        if self.chars < 3 {
+            return None;
+        }
+        let (s, p, i) = (self.src.total(), self.chars - 2, self.inter);
+        let x = more.min(s - i);
+        Some((i + x) as f64 / (s + p - i) as f64)
     }
 }
 

@@ -10,7 +10,7 @@ use neural::optim::DpSgd;
 use persist::{Persist, Reader, Writer};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use similarity::{qgram_jaccard, Qgram3Keys};
+use similarity::{qgram_jaccard, Qgram3Keys, Qgram3Prefix};
 
 /// Configuration for training the bucketed synthesizer.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ pub struct BucketedSynthesizerConfig {
     /// Sampling temperature for candidate generation.
     pub temperature: f32,
     /// If the best candidate misses the target similarity by more than this,
-    /// run guided repair (DESIGN.md §3.4).
+    /// run guided repair (DESIGN.md §3 item 7).
     pub repair_tol: f64,
 }
 
@@ -214,8 +214,15 @@ impl PreparedSynthesis<'_> {
         if let Some(pm) = &self.model {
             let candidates = {
                 let _span = obs::span("text.decode");
-                pm.model
-                    .generate_batch(&pm.enc, syn.cfg.candidates, syn.cfg.max_out, syn.cfg.temperature, rng)
+                let mut bound = self.lane_bound(syn.cfg.candidates);
+                pm.model.generate_batch(
+                    &pm.enc,
+                    syn.cfg.candidates,
+                    syn.cfg.max_out,
+                    syn.cfg.temperature,
+                    rng,
+                    |lane, id, left| bound.keep(lane, id, left),
+                )
             };
             let mut out_keys = Qgram3Keys::default();
             for ids in &candidates {
@@ -227,7 +234,7 @@ impl PreparedSynthesis<'_> {
                 // come from the background pool or the source string. A
                 // small CPU-trained model can hit the target similarity with
                 // character soup; this gate keeps Table-I-style semantics
-                // (DESIGN.md §3.4).
+                // (DESIGN.md §3 item 7).
                 let tokens = similarity::tokenize(&out);
                 let plausible = !tokens.is_empty()
                     && tokens
@@ -259,6 +266,49 @@ impl PreparedSynthesis<'_> {
                 out
             }
         }
+    }
+
+    /// The lane-retirement rule for a batch of `lanes` candidates
+    /// (DESIGN.md §11.5).
+    fn lane_bound(&self, lanes: usize) -> LaneBound<'_> {
+        LaneBound {
+            vocab: &self.syn.vocab,
+            floor: self.target - self.syn.cfg.repair_tol - RETIRE_MARGIN,
+            lanes: (0..lanes).map(|_| Qgram3Prefix::new(&self.keys)).collect(),
+        }
+    }
+}
+
+/// Slack below `target − repair_tol` that a lane's Jaccard bound must fall
+/// to retire it. The bound is at least every reachable Jaccard, so any
+/// positive margin is exact; this one also absorbs the rounding of the
+/// `|achieved − target| ≤ repair_tol` test, which is far below 1e-9.
+const RETIRE_MARGIN: f64 = 1e-9;
+
+/// Retires a decoding lane as soon as no completion of its output can land
+/// within `repair_tol` of the target similarity.
+///
+/// Such a lane can never be the chosen candidate: any candidate within
+/// tolerance is strictly closer, and when none is, repair runs whatever the
+/// closest miss was. Dropping it changes no output and no RNG draw, since
+/// every lane samples from its own pre-seeded RNG.
+struct LaneBound<'a> {
+    vocab: &'a CharVocab,
+    /// Lanes whose Jaccard bound falls below this retire.
+    floor: f64,
+    /// Each lane's decoded chars so far, against the source's grams.
+    lanes: Vec<Qgram3Prefix<'a>>,
+}
+
+impl LaneBound<'_> {
+    /// Whether `lane` stays in the batch after emitting `id` with at most
+    /// `left` ids to come (each decodes to at most one char).
+    fn keep(&mut self, lane: usize, id: usize, left: usize) -> bool {
+        let prefix = &mut self.lanes[lane];
+        if let Some(c) = self.vocab.char_of(id) {
+            prefix.push(c);
+        }
+        prefix.jaccard_bound(left).is_none_or(|b| b >= self.floor)
     }
 }
 
@@ -594,6 +644,118 @@ mod tests {
         );
         let text = syn.to_persist_string().replace("models 3", "models 2");
         assert!(BucketedSynthesizer::from_persist_str(&text).is_err());
+    }
+
+    /// [`PreparedSynthesis::synthesize`] as it reranks without lane
+    /// retirement: every lane decoded to the end, scored by `qgram_jaccard`.
+    fn synthesize_unretired(p: &PreparedSynthesis<'_>, rng: &mut StdRng) -> String {
+        let (syn, s, sim) = (p.syn, &p.source, p.target);
+        let pm = p.model.as_ref().expect("bucket model");
+        let seeds: Vec<u64> = (0..syn.cfg.candidates).map(|_| rng.gen::<u64>()).collect();
+        let lanes = pm.model.generate_lanes(
+            &pm.enc,
+            &seeds,
+            syn.cfg.max_out,
+            syn.cfg.temperature,
+            |_, _, _| true,
+        );
+        let mut best: Option<(String, f64)> = None;
+        for ids in &lanes {
+            let out = syn.vocab.decode(ids);
+            if out.is_empty() {
+                continue;
+            }
+            let tokens = similarity::tokenize(&out);
+            let plausible = !tokens.is_empty()
+                && tokens
+                    .iter()
+                    .filter(|t| syn.pool.contains(t) || pm.src_tokens.contains(*t))
+                    .count() as f64
+                    / tokens.len() as f64
+                    >= 0.8;
+            if !plausible {
+                continue;
+            }
+            let achieved = qgram_jaccard(s, &out, 3);
+            if best.as_ref().is_none_or(|(_, b)| (achieved - sim).abs() < (b - sim).abs()) {
+                best = Some((out, achieved));
+            }
+        }
+        match best {
+            Some((out, achieved)) if (achieved - sim).abs() <= syn.cfg.repair_tol => out,
+            _ => perturb_toward_keys(s, &p.keys, sim, &syn.pool, 0.03, 300, rng).0,
+        }
+    }
+
+    #[test]
+    fn lane_retirement_is_exact() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let syn = BucketedSynthesizer::train(
+            &corpus(),
+            BucketedSynthesizerConfig::test_tiny(),
+            &mut rng,
+        );
+        let cfg = &syn.cfg;
+        let n = cfg.candidates;
+        let (mut retired_lanes, mut picked) = (0, 0);
+        for s in ["adaptive query processing for modern systems", "parallel join"] {
+            for target in (0..10).map(|i| 0.05 + i as f64 * 0.1) {
+                let prepared = syn.prepare(s, target);
+                let pm = prepared.model.as_ref().expect("every test_tiny bucket has a model");
+                for seed in 0..4u64 {
+                    // The lane seeds `synthesize` draws first.
+                    let mut r = StdRng::seed_from_u64(seed);
+                    let seeds: Vec<u64> = (0..n).map(|_| r.gen::<u64>()).collect();
+                    let full = pm.model.generate_lanes(
+                        &pm.enc,
+                        &seeds,
+                        cfg.max_out,
+                        cfg.temperature,
+                        |_, _, _| true,
+                    );
+                    let mut bound = prepared.lane_bound(n);
+                    let mut retired = vec![false; n];
+                    let kept = pm.model.generate_lanes(
+                        &pm.enc,
+                        &seeds,
+                        cfg.max_out,
+                        cfg.temperature,
+                        |lane, id, left| {
+                            let keep = bound.keep(lane, id, left);
+                            retired[lane] |= !keep;
+                            keep
+                        },
+                    );
+                    for lane in 0..n {
+                        let out = syn.vocab.decode(&full[lane]);
+                        let miss = (qgram_jaccard(s, &out, 3) - target).abs();
+                        if retired[lane] {
+                            retired_lanes += 1;
+                            assert!(kept[lane].is_empty());
+                            assert!(
+                                out.is_empty() || miss > cfg.repair_tol,
+                                "{s:?} @ {target}: retired {out:?} misses by only {miss}"
+                            );
+                        } else {
+                            assert_eq!(kept[lane], full[lane], "{s:?} @ {target} lane {lane}");
+                            picked += usize::from(miss <= cfg.repair_tol);
+                        }
+                    }
+
+                    let mut r1 = StdRng::seed_from_u64(seed);
+                    let mut r2 = StdRng::seed_from_u64(seed);
+                    assert_eq!(
+                        prepared.synthesize(&mut r1),
+                        synthesize_unretired(&prepared, &mut r2),
+                        "{s:?} @ {target} seed {seed}"
+                    );
+                    assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "{s:?} @ {target}: RNG");
+                }
+            }
+        }
+        // The grid exercises both sides of the bound.
+        assert!(retired_lanes > 0, "no lane retired");
+        assert!(picked > 0, "no surviving lane within tolerance");
     }
 
     #[test]

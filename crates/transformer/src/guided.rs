@@ -1,6 +1,6 @@
 //! Corpus-guided deterministic string perturbation.
 //!
-//! Two roles (DESIGN.md §3.4):
+//! Two roles (DESIGN.md §3 item 7):
 //!
 //! 1. **Training-pair seeding.** Background corpora pair strings by their
 //!    natural similarities; some buckets (e.g. `[0.6, 0.7)`) can be sparse.
@@ -13,17 +13,17 @@
 //!    every text value (DESIGN.md §3 item 7).
 //!
 //! The perturbation alternates token-level edits — dropping tokens of `s`,
-//! appending/substituting tokens drawn from the corpus vocabulary — greedily
-//! keeping the edit that moves the 3-gram Jaccard similarity closest to the
-//! target, so outputs remain domain-plausible (corpus tokens only). Tokens
-//! keep their original case and punctuation: the 3-gram similarity is
-//! case-sensitive, and a lowercased copy of a mixed-case source would cap
-//! the reachable similarity well below 1.
+//! inserting/appending/substituting tokens drawn from the corpus
+//! vocabulary — greedily keeping the edit that moves the 3-gram Jaccard
+//! similarity closest to the target, so outputs remain domain-plausible
+//! (corpus tokens only). Tokens keep their original case and punctuation:
+//! the 3-gram similarity is case-sensitive, and a lowercased copy of a
+//! mixed-case source would cap the reachable similarity well below 1.
 
 use persist::{Persist, Reader, Writer};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use similarity::{tokenize, Qgram3Keys};
+use similarity::{tokenize, Qgram3Keys, Qgram3Splicer};
 use std::collections::BTreeSet;
 
 /// A pool of domain tokens harvested from a background corpus.
@@ -142,9 +142,9 @@ impl Persist for TokenPool {
 /// `target`, using only tokens of `s` and of the `pool`.
 ///
 /// Greedy local search: propose `width` random single edits per round
-/// (drop/append/replace a token), keep the best, stop when within `tol` or
-/// after `max_rounds` rounds. Returns the best string found and its achieved
-/// similarity.
+/// (drop, insert, replace or append a token), keep the best, stop when
+/// within `tol` or after `max_rounds` rounds. Returns the best string found
+/// and its achieved similarity.
 pub fn perturb_toward<R: Rng + ?Sized>(
     s: &str,
     target: f64,
@@ -161,10 +161,12 @@ pub fn perturb_toward<R: Rng + ?Sized>(
 /// [`perturb_toward`] against the precomputed 3-gram keys of `s`, also
 /// returning the number of search rounds run.
 ///
-/// Tokens are borrowed from `s` and the pool, and each proposal is scored by
-/// streaming its space-joined chars into one reused key buffer, so a round
-/// allocates nothing but its token vectors. Scores are bit-identical to
-/// `qgram_jaccard(s, &tokens.join(" "), 3)`, so the RNG stream and the
+/// Tokens are borrowed from `s` and the pool. Each proposal is kept as an
+/// [`Edit`] and scored as a char splice of the space-joined tokens
+/// ([`Qgram3Splicer`]), so only the grams around the edited token are
+/// looked at; the current string is re-grammed only when a proposal is
+/// accepted. Scores are bit-identical to
+/// `qgram_jaccard(s, &edited.join(" "), 3)`, so the RNG stream and the
 /// result match that formulation exactly.
 pub(crate) fn perturb_toward_keys<R: Rng + ?Sized>(
     s: &str,
@@ -177,16 +179,12 @@ pub(crate) fn perturb_toward_keys<R: Rng + ?Sized>(
 ) -> (String, f64, usize) {
     let target = target.clamp(0.0, 1.0);
     // Case- and punctuation-preserving tokens of the source string.
-    let mut current: Vec<&str> = s.split_whitespace().collect();
-    if current.is_empty() {
-        current.push(pool.sample(rng));
+    let mut tokens: Vec<&str> = s.split_whitespace().collect();
+    if tokens.is_empty() {
+        tokens.push(pool.sample(rng));
     }
-    let mut keys = Qgram3Keys::default();
-    let mut score = |tokens: &[&str]| {
-        keys.fill(joined_chars(tokens));
-        src.jaccard(&keys)
-    };
-    let mut best_sim = score(&current);
+    let mut current = EditScorer::new(src, tokens);
+    let mut best_sim = current.jaccard();
 
     // target == 1 means an exact copy is wanted.
     if target >= 1.0 - f64::EPSILON {
@@ -200,52 +198,137 @@ pub(crate) fn perturb_toward_keys<R: Rng + ?Sized>(
             break;
         }
         rounds += 1;
-        let mut best_round: Option<(Vec<&str>, f64)> = None;
+        let mut best_round: Option<(Edit<'_>, f64)> = None;
         for _ in 0..width {
-            let mut cand = current.clone();
+            let n = current.tokens.len();
             let need_lower = best_sim > target;
             let op = rng.gen_range(0..3);
-            match op {
+            let edit = match op {
                 // Drop a token (lowers similarity) / insert a corpus token.
                 0 => {
-                    if need_lower && cand.len() > 1 {
-                        let i = rng.gen_range(0..cand.len());
-                        cand.remove(i);
+                    if need_lower && n > 1 {
+                        Edit::Remove(rng.gen_range(0..n))
                     } else {
-                        let i = rng.gen_range(0..=cand.len());
-                        cand.insert(i, pool.sample(rng));
+                        let i = rng.gen_range(0..=n);
+                        Edit::Insert(i, pool.sample(rng))
                     }
                 }
                 // Replace a token with a corpus token.
                 1 => {
-                    let i = rng.gen_range(0..cand.len());
-                    cand[i] = pool.sample(rng);
+                    let i = rng.gen_range(0..n);
+                    Edit::Replace(i, pool.sample(rng))
                 }
                 // Append a corpus token (lowers sim when already similar).
-                _ => {
-                    cand.push(pool.sample(rng));
-                }
-            }
-            if cand.is_empty() {
-                continue;
-            }
-            let sim = score(&cand);
+                _ => Edit::Append(pool.sample(rng)),
+            };
+            let sim = current.score(edit);
             let dist = (sim - target).abs();
             if best_round
                 .as_ref()
                 .map_or(true, |(_, s2)| dist < (s2 - target).abs())
             {
-                best_round = Some((cand, sim));
+                best_round = Some((edit, sim));
             }
         }
-        if let Some((cand, sim)) = best_round {
+        if let Some((edit, sim)) = best_round {
             if (sim - target).abs() < (best_sim - target).abs() {
-                current = cand;
+                current.apply(edit);
                 best_sim = sim;
             }
         }
     }
-    (current.join(" "), best_sim, rounds)
+    (current.tokens.join(" "), best_sim, rounds)
+}
+
+/// One single-token edit of a token list. It never empties the list: a
+/// list of one token is never shortened.
+#[derive(Debug, Clone, Copy)]
+enum Edit<'t> {
+    /// Drop the token at this index.
+    Remove(usize),
+    /// Insert a token before this index (at the end when it is the length).
+    Insert(usize, &'t str),
+    /// Replace the token at this index.
+    Replace(usize, &'t str),
+    /// Append a token.
+    Append(&'t str),
+}
+
+/// A non-empty token list whose space-joined string is held by a
+/// [`Qgram3Splicer`], so each [`Edit`] is scored as one char splice.
+struct EditScorer<'t, 's> {
+    tokens: Vec<&'t str>,
+    /// Char position of each token in the joined string.
+    starts: Vec<usize>,
+    joined: Qgram3Splicer<'s>,
+}
+
+impl<'t, 's> EditScorer<'t, 's> {
+    fn new(src: &'s Qgram3Keys, tokens: Vec<&'t str>) -> Self {
+        let mut scorer = EditScorer { tokens, starts: Vec::new(), joined: Qgram3Splicer::new(src) };
+        scorer.rejoin();
+        scorer
+    }
+
+    /// Re-grams the joined string after the token list changed.
+    fn rejoin(&mut self) {
+        self.joined.set(joined_chars(&self.tokens));
+        self.starts.clear();
+        let mut at = 0;
+        for t in &self.tokens {
+            self.starts.push(at);
+            at += t.chars().count() + 1;
+        }
+    }
+
+    /// 3-gram Jaccard of the source and the joined tokens.
+    fn jaccard(&self) -> f64 {
+        self.joined.jaccard()
+    }
+
+    /// 3-gram Jaccard of the source and the joined tokens after `edit`,
+    /// leaving the tokens as they are.
+    fn score(&mut self, edit: Edit<'_>) -> f64 {
+        let n = self.tokens.len();
+        let len = self.joined.chars();
+        let space = std::iter::once(' ');
+        match edit {
+            // Drop the token with the space after it, or before it if last.
+            Edit::Remove(k) if k + 1 < n => {
+                let at = self.starts[k];
+                self.joined.splice_jaccard(at, self.starts[k + 1] - at, None)
+            }
+            Edit::Remove(k) => {
+                let at = self.starts[k] - 1;
+                self.joined.splice_jaccard(at, len - at, None)
+            }
+            Edit::Insert(i, t) if i < n => {
+                self.joined.splice_jaccard(self.starts[i], 0, t.chars().chain(space))
+            }
+            Edit::Insert(_, t) | Edit::Append(t) => {
+                self.joined.splice_jaccard(len, 0, space.chain(t.chars()))
+            }
+            Edit::Replace(k, t) => {
+                let at = self.starts[k];
+                // The token ends before the space that follows it.
+                let to = if k + 1 < n { self.starts[k + 1] - 1 } else { len };
+                self.joined.splice_jaccard(at, to - at, t.chars())
+            }
+        }
+    }
+
+    /// Applies `edit` to the tokens.
+    fn apply(&mut self, edit: Edit<'t>) {
+        match edit {
+            Edit::Remove(k) => {
+                self.tokens.remove(k);
+            }
+            Edit::Insert(i, t) => self.tokens.insert(i, t),
+            Edit::Replace(k, t) => self.tokens[k] = t,
+            Edit::Append(t) => self.tokens.push(t),
+        }
+        self.rejoin();
+    }
 }
 
 /// The chars of `tokens.join(" ")`, without building the string.
@@ -378,6 +461,59 @@ mod tests {
             let streamed = Qgram3Keys::of(&s).jaccard(&keys);
             let reference = similarity::qgram_jaccard(&s, &tokens.join(" "), 3);
             proptest::prop_assert_eq!(streamed.to_bits(), reference.to_bits(), "{:?} {:?}", s, tokens);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn spliced_edit_score_matches_joined_qgram_jaccard(
+            s in "[a é日\u{10FFFF}]{0,10}",
+            picks in proptest::collection::vec(0usize..7, 1..5),
+            kind in 0usize..4,
+            place in 0usize..3,
+            piece in 0usize..7,
+        ) {
+            // Token lists of 1+ tokens mixing pieces of `s` with empty,
+            // 1–3 char, multi-byte and near-U+10FFFF tokens, so edits
+            // cross the 3-char threshold both ways.
+            let extra = ["ab", "日", "\u{10FFFE}\u{10FFFF}", "aaa", "é", "x", ""];
+            let mut tokens: Vec<&str> = s.split_whitespace().collect();
+            tokens.extend(picks.iter().map(|&i| extra[i]));
+            let n = tokens.len();
+            // The first, a middle, or the last token (or gap, for inserts).
+            let at = |last: usize| [0, last / 2, last][place];
+            let t = extra[piece];
+            let edit = match kind {
+                0 if n > 1 => Edit::Remove(at(n - 1)),
+                0 => return Ok(()),
+                1 => Edit::Insert(at(n), t),
+                2 => Edit::Replace(at(n - 1), t),
+                _ => Edit::Append(t),
+            };
+            let mut edited = tokens.clone();
+            match edit {
+                Edit::Remove(k) => {
+                    edited.remove(k);
+                }
+                Edit::Insert(i, t) => edited.insert(i, t),
+                Edit::Replace(k, t) => edited[k] = t,
+                Edit::Append(t) => edited.push(t),
+            }
+            let reference = similarity::qgram_jaccard(&s, &edited.join(" "), 3);
+
+            let src = Qgram3Keys::of(&s);
+            let mut scorer = EditScorer::new(&src, tokens.clone());
+            let spliced = scorer.score(edit);
+            proptest::prop_assert_eq!(
+                spliced.to_bits(), reference.to_bits(), "{:?} {:?} {:?}", s, tokens, edit
+            );
+            // Scoring leaves the tokens alone; applying re-grams the edit.
+            proptest::prop_assert_eq!(&scorer.tokens, &tokens);
+            scorer.apply(edit);
+            proptest::prop_assert_eq!(&scorer.tokens, &edited);
+            proptest::prop_assert_eq!(scorer.jaccard().to_bits(), reference.to_bits());
         }
     }
 

@@ -24,7 +24,7 @@
 //!   (a) seed training pairs for sparse buckets and (b) repair model
 //!   candidates that miss the target similarity badly. This is an
 //!   engineering substitution for the authors' GPU-scale models; see
-//!   DESIGN.md §3.4.
+//!   DESIGN.md §3 item 7.
 
 pub mod bucket;
 pub mod decode;

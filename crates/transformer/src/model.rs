@@ -459,7 +459,8 @@ impl Seq2SeqTransformer {
     /// against one encoded source. Each candidate draws from its own RNG
     /// lane seeded up front from `rng`, so the batch is reproducible and
     /// identical to running [`Seq2SeqTransformer::generate_from`] serially
-    /// with the same per-lane seeds (see `generate_lanes`).
+    /// with the same per-lane seeds; `keep` may retire lanes early (see
+    /// [`Seq2SeqTransformer::generate_lanes`]).
     pub fn generate_batch<R: Rng + ?Sized>(
         &self,
         enc: &EncodedSource,
@@ -467,20 +468,27 @@ impl Seq2SeqTransformer {
         max_out: usize,
         temperature: f32,
         rng: &mut R,
+        keep: impl FnMut(usize, usize, usize) -> bool,
     ) -> Vec<Vec<usize>> {
         let seeds: Vec<u64> = (0..n).map(|_| rng.gen::<u64>()).collect();
-        self.generate_lanes(enc, &seeds, max_out, temperature)
+        self.generate_lanes(enc, &seeds, max_out, temperature, keep)
     }
 
     /// Lockstep batched decoding with one explicit RNG seed per lane.
-    /// Lane `i` produces exactly what `generate_from` produces with
-    /// `StdRng::seed_from_u64(seeds[i])`.
+    ///
+    /// `keep(lane, id, left)` sees every non-EOS id a lane emits, with the
+    /// number of ids the lane may still emit after it. Returning `false`
+    /// retires the lane: it leaves the batch and its output is empty. Every
+    /// other lane `i` produces exactly what `generate_from` produces with
+    /// `StdRng::seed_from_u64(seeds[i])`: lanes share no randomness and the
+    /// batched kernels are row-local (DESIGN.md §11.1).
     pub fn generate_lanes(
         &self,
         enc: &EncodedSource,
         seeds: &[u64],
         max_out: usize,
         temperature: f32,
+        mut keep: impl FnMut(usize, usize, usize) -> bool,
     ) -> Vec<Vec<usize>> {
         let n = seeds.len();
         if n == 0 {
@@ -494,6 +502,7 @@ impl Seq2SeqTransformer {
         let mut alive: Vec<usize> = (0..n).collect();
         let limit = max_out.min(self.cfg.max_len - 1);
         let mut tokens = 0u64;
+        let mut retired = 0u64;
         for _ in 0..limit {
             if alive.is_empty() {
                 break;
@@ -508,11 +517,17 @@ impl Seq2SeqTransformer {
                     continue;
                 }
                 outs[lane].push(id);
+                if !keep(lane, id, limit - outs[lane].len()) {
+                    outs[lane].clear();
+                    retired += 1;
+                    continue;
+                }
                 last[lane] = id;
                 still_alive.push(lane);
             }
             alive = still_alive;
         }
+        obs::counter("decode.lanes_retired", retired);
         if let Some(t0) = timer {
             let secs = t0.elapsed().as_secs_f64();
             if secs > 0.0 {

@@ -64,15 +64,12 @@ impl CharVocab {
 
     /// Decodes ids back to a string, skipping special tokens.
     pub fn decode(&self, ids: &[usize]) -> String {
-        ids.iter()
-            .filter_map(|&id| {
-                if id < SPECIALS {
-                    None
-                } else {
-                    self.to_char.get(id - SPECIALS).copied()
-                }
-            })
-            .collect()
+        ids.iter().filter_map(|&id| self.char_of(id)).collect()
+    }
+
+    /// The char an id decodes to (`None` for special tokens).
+    pub fn char_of(&self, id: usize) -> Option<char> {
+        id.checked_sub(SPECIALS).and_then(|i| self.to_char.get(i).copied())
     }
 
     /// Id for a character, if known.

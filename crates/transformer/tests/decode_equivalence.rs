@@ -135,12 +135,40 @@ proptest! {
         let temp = [0.0f32, 0.8, 1.5][temp_idx];
         let model = tiny_model(seed);
         let enc = model.encode_source(&src);
-        let batched = model.generate_lanes(&enc, &lane_seeds, 16, temp);
+        let batched = model.generate_lanes(&enc, &lane_seeds, 16, temp, |_, _, _| true);
         let serial: Vec<Vec<usize>> = lane_seeds
             .iter()
             .map(|&s| model.generate_from(&enc, 16, temp, &mut StdRng::seed_from_u64(s)))
             .collect();
         prop_assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn retired_lanes_leave_the_other_lanes_unchanged(
+        seed in any::<u64>(),
+        src in ids_strategy(10),
+        lane_seeds in proptest::collection::vec(any::<u64>(), 1..6),
+        retire_mask in 0u32..64,
+        retire_at in 1usize..6,
+    ) {
+        let model = tiny_model(seed);
+        let enc = model.encode_source(&src);
+        let full = model.generate_lanes(&enc, &lane_seeds, 16, 0.8, |_, _, _| true);
+        // Retire the masked lanes once they have emitted `retire_at` ids.
+        let mut retired = vec![false; lane_seeds.len()];
+        let cut = model.generate_lanes(&enc, &lane_seeds, 16, 0.8, |lane, _, left| {
+            let stop = retire_mask >> lane & 1 == 1 && 16 - left >= retire_at;
+            retired[lane] |= stop;
+            !stop
+        });
+        for (lane, (full, cut)) in full.iter().zip(&cut).enumerate() {
+            if retired[lane] {
+                prop_assert!(cut.is_empty(), "retired lane {} kept {:?}", lane, cut);
+                prop_assert!(full.len() >= retire_at);
+            } else {
+                prop_assert_eq!(full, cut, "lane {}", lane);
+            }
+        }
     }
 
     #[test]
@@ -166,9 +194,9 @@ proptest! {
         let model = tiny_model(seed);
         let enc = model.encode_source(&src);
         obs::set_mode(obs::Mode::Off);
-        let off = model.generate_lanes(&enc, &lane_seeds, 12, 0.8);
+        let off = model.generate_lanes(&enc, &lane_seeds, 12, 0.8, |_, _, _| true);
         obs::set_mode(obs::Mode::Json);
-        let on = model.generate_lanes(&enc, &lane_seeds, 12, 0.8);
+        let on = model.generate_lanes(&enc, &lane_seeds, 12, 0.8, |_, _, _| true);
         obs::set_mode(obs::Mode::Off);
         prop_assert_eq!(off, on);
     }
